@@ -82,8 +82,8 @@ def _resolve_grid(cfg: dict, dist) -> Grid:
 
 
 def _task_rng(seed: int, index: int) -> np.random.Generator:
-    # deterministic per-task streams: base seed xor task index
-    return np.random.default_rng(seed ^ index)
+    # keyed per-task streams, independent across both seeds and task indices
+    return np.random.default_rng([seed, index])
 
 
 def _parallel_map(fn, n_tasks: int, threads: int):

@@ -14,7 +14,7 @@ class NotNormalizedError(RenewalLabError):
 
 
 class StepTooCoarseError(RenewalLabError):
-    """Grid step too large for a stable Volterra forward substitution."""
+    """Grid step too large for a stable implicit Volterra solve (diagonal 1 - h k(0) / 2 <= 0)."""
 
 
 class SupportExhaustedError(RenewalLabError):

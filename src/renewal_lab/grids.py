@@ -171,9 +171,10 @@ class GridMeasure:
 def _convolve_densities(a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
     """Trapezoidal (f * g)(x_k) = int_0^{x_k} f(u) g(x_k - u) du, truncated at the horizon.
 
-    Plain discrete convolution with the two endpoint terms half-weighted;
-    np.convolve keeps the summation direct (no FFT), so results are
-    bit-reproducible across runs.
+    Plain discrete convolution with the two endpoint terms half-weighted,
+    summed directly by np.convolve.  The Volterra solver's residual is
+    recomputed through this path, so it stays independent of the solver's
+    FFT middle products.
     """
     n = a.shape[0]
     full = np.convolve(a, b)[:n]
@@ -199,11 +200,7 @@ def convolve_measures(mu: GridMeasure, nu: GridMeasure) -> GridMeasure:
 def convolve_measure_function(mu: GridMeasure, z: GridFunction) -> GridFunction:
     """(mu * z)(t_k) = atom0 z(t_k) + int_0^{t_k} z(t_k - u) density(u) du."""
     _check_same_grid(mu.grid, z.grid)
-    n = mu.grid.n_nodes
-    conv = np.convolve(mu.density, z.values)[:n]
-    conv -= 0.5 * (mu.density[0] * z.values[:n] + z.values[0] * mu.density[:n])
-    conv *= mu.grid.step
-    conv[0] = 0.0
+    conv = _convolve_densities(mu.density, z.values, mu.grid.step)
     return GridFunction(mu.grid, mu.atom0 * z.values + conv)
 
 

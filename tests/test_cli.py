@@ -98,6 +98,15 @@ class TestDeterminism:
             assert res.exit_code == 0, res.output
         assert (tmp_path / "a" / "traces.csv").read_bytes() == (tmp_path / "b" / "traces.csv").read_bytes()
 
+    def test_task_streams_do_not_collide_across_seeds(self):
+        # seed ^ index would give seed 6, task 1 the stream of seed 7, task 0
+        from renewal_lab.cli import _task_rng
+
+        a = _task_rng(6, 1).random(8)
+        b = _task_rng(7, 0).random(8)
+        assert not np.array_equal(a, b)
+        assert np.array_equal(a, _task_rng(6, 1).random(8))
+
     def test_config_echo_round_trips(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**BASE, "forcing": {"type": "linear"}})
         res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -21,11 +21,48 @@ from renewal_lab import (
 )
 from renewal_lab.compensator import sample_forward_recurrence
 from renewal_lab.errors import HorizonExceededError, StepTooCoarseError
-from renewal_lab.renewal import default_grid, default_recurrence_grid
+from renewal_lab.renewal import default_grid, default_recurrence_grid, volterra_renewal_density
 
 
 def small_grid(dist, horizon_means=30.0, points_per_mean=100):
     return Grid(dist.mean() / points_per_mean, int(points_per_mean * horizon_means))
+
+
+def _volterra_direct(kernel, rhs, grid):
+    """Per-node forward substitution, O(n^2): the oracle for the fast solver."""
+    h = grid.step
+    n = grid.count
+    diag = 1.0 - 0.5 * h * kernel[0]
+    x = np.empty(n + 1)
+    x[0] = rhs[0]
+    krev = kernel[::-1]
+    for k in range(1, n + 1):
+        s = 0.5 * kernel[k] * x[0]
+        if k >= 2:
+            s += np.dot(krev[n - k + 1 : n], x[1:k])
+        x[k] = (rhs[k] + h * s) / diag
+    return x
+
+
+class TestVolterraSolver:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 500, 3000])
+    @pytest.mark.parametrize("forcing", ["kernel", "linear"])
+    def test_matches_direct_substitution(self, dist, n, forcing):
+        grid = Grid(dist.mean() / 200.0, n)
+        kernel = measure_from_distribution(dist, grid).density
+        rhs = kernel if forcing == "kernel" else linear_forcing(dist, grid).values
+        fast = volterra_renewal_density(kernel, rhs, grid)
+        direct = _volterra_direct(kernel, rhs, grid)
+        assert fast.shape == direct.shape
+        assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_repeat_calls_are_identical(self, dist):
+        grid = Grid(dist.mean() / 200.0, 3000)
+        kernel = measure_from_distribution(dist, grid).density
+        rhs = linear_forcing(dist, grid).values
+        assert np.array_equal(
+            volterra_renewal_density(kernel, rhs, grid), volterra_renewal_density(kernel, rhs, grid)
+        )
 
 
 class TestRenewalMeasure:
@@ -139,6 +176,16 @@ class TestRenewalEquation:
         base = solve_renewal_equation(dist, z)
         sol = solve_renewal_equation(dist, GridFunction(grid, bumped))
         assert np.max(np.abs(sol.Z.values - base.Z.values)) >= eps * (1.0 - 1e-12)
+
+    def test_phi_is_solved_on_read_or_taken_as_given(self):
+        d = Gamma(2.0, 1.0)
+        grid = small_grid(d, horizon_means=10.0)
+        z = linear_forcing(d, grid)
+        sol = solve_renewal_equation(d, z)
+        assert "phi" not in sol.__dict__
+        np.testing.assert_array_equal(sol.phi.density, renewal_measure(d, grid).density)
+        given = renewal_measure(d, grid)
+        assert solve_renewal_equation(d, z, phi=given).phi is given
 
     def test_agrees_with_measure_convolution(self):
         d = Exponential(1.0)
