@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import NoCommonComponentError, NotNormalizedError, ThinningError
-from .grids import Grid, GridMeasure, overlap_mass, tv_distance
+from .grids import Grid, GridMeasure, inverse_cdf, overlap_mass
 from .renewal import (
     default_grid,
     forward_recurrence_cdf,
@@ -55,17 +55,8 @@ __all__ = [
 
 def _split_parts(p: GridMeasure, q: GridMeasure):
     delta = overlap_mass(p, q)
-    common_atom = min(p.atom0, q.atom0)
-    common_density = np.minimum(p.density, q.density)
-    return delta, common_atom, common_density
-
-
-def _inverse_cdf_draw(atom: float, density: np.ndarray, grid: Grid, mass: float, u: np.ndarray) -> np.ndarray:
-    """Draws from (atom, density)/mass by inverting the cumulative at uniforms u."""
-    cells = 0.5 * grid.step * (density[1:] + density[:-1])
-    cum = np.concatenate(([atom], atom + np.cumsum(cells))) / mass
-    xs = grid.nodes()
-    return np.where(u <= cum[0], 0.0, np.interp(u, cum, xs))
+    common = GridMeasure(p.grid, min(p.atom0, q.atom0), np.minimum(p.density, q.density))
+    return delta, common
 
 
 def maximal_coupling_sample(p: GridMeasure, q: GridMeasure, rng: np.random.Generator, size=None):
@@ -80,7 +71,7 @@ def maximal_coupling_sample(p: GridMeasure, q: GridMeasure, rng: np.random.Gener
         mass = m.total_mass()
         if abs(mass - 1.0) > 1e-6:
             raise NotNormalizedError(f"{name} has mass {mass!r}, expected 1")
-    delta, common_atom, common_density = _split_parts(p, q)
+    delta, common = _split_parts(p, q)
     scalar = size is None
     n = 1 if scalar else int(size)
     u_flag = rng.random(n)
@@ -91,7 +82,7 @@ def maximal_coupling_sample(p: GridMeasure, q: GridMeasure, rng: np.random.Gener
     x = np.empty(n)
     y = np.empty(n)
     if delta > 1e-12 and np.any(coupled):
-        z = _inverse_cdf_draw(common_atom, common_density, p.grid, delta, u_val[coupled])
+        z = inverse_cdf(common, u_val[coupled], delta)
         x[coupled] = z
         y[coupled] = z
     anti = ~coupled
@@ -99,16 +90,15 @@ def maximal_coupling_sample(p: GridMeasure, q: GridMeasure, rng: np.random.Gener
         rest = 1.0 - delta
         if rest <= 1e-12:
             # p == q to rounding error: the residual branch is unreachable
-            z = _inverse_cdf_draw(p.atom0, p.density, p.grid, p.total_mass(), u_val[anti])
+            z = inverse_cdf(p, u_val[anti], p.total_mass())
             x[anti] = z
             y[anti] = z
         else:
-            x[anti] = _inverse_cdf_draw(
-                p.atom0 - common_atom, p.density - common_density, p.grid, rest, u_val[anti]
-            )
-            y[anti] = _inverse_cdf_draw(
-                q.atom0 - common_atom, q.density - common_density, q.grid, rest, u_val2[anti]
-            )
+            # p - p^q and q - p^q stay >= 0 node by node, so both are valid measures
+            p_rest = GridMeasure(p.grid, p.atom0 - common.atom0, p.density - common.density)
+            q_rest = GridMeasure(q.grid, q.atom0 - common.atom0, q.density - common.density)
+            x[anti] = inverse_cdf(p_rest, u_val[anti], rest)
+            y[anti] = inverse_cdf(q_rest, u_val2[anti], rest)
     if scalar:
         return float(x[0]), float(y[0]), int(coupled[0])
     return x, y, coupled.astype(int)

@@ -249,17 +249,24 @@ def overlap_mass(p, q) -> float:
     return min(pm.atom0, qm.atom0) + float(np.trapezoid(common, dx=pm.grid.step))
 
 
+def inverse_cdf(measure: GridMeasure, u: np.ndarray, mass: float) -> np.ndarray:
+    """Quantiles of measure / mass at the uniforms u (linear within cells).
+
+    ``mass`` is passed in so sub-probability parts, such as the residual of
+    a maximal coupling, can be drawn from at their own normalization.
+    """
+    cum = measure.cumulative() / mass
+    return np.where(u <= cum[0], 0.0, np.interp(u, cum, measure.grid.nodes()))
+
+
 def sample_from_measure(measure: GridMeasure, rng: np.random.Generator, size=None):
     """Inverse-CDF draws from a normalized grid measure (linear within cells)."""
     mass = measure.total_mass()
     if abs(mass - 1.0) > 1e-6:
         raise NotNormalizedError(f"measure has mass {mass!r}, cannot sample")
-    cum = measure.cumulative() / mass
-    xs = measure.grid.nodes()
     u = rng.random(size)
     scalar = np.ndim(u) == 0
-    u = np.atleast_1d(u)
-    out = np.where(u <= cum[0], 0.0, np.interp(u, cum, xs))
+    out = inverse_cdf(measure, np.atleast_1d(u), mass)
     return float(out[0]) if scalar else out
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from renewal_lab.acceptance import CRITERIA, DEFAULT_SEED
 from renewal_lab.cli import main
 
 
@@ -65,6 +66,26 @@ class TestSolve:
         res = runner.invoke(main, ["solve", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "seed, env, field",
+        [(-7, None, "seed"), (True, None, "seed"), (None, "-3", "RENEWAL_LAB_SEED")],
+        ids=["negative", "boolean", "negative-env"],
+    )
+    def test_bad_seed_is_config_error(self, runner, tmp_path, monkeypatch, seed, env, field):
+        payload = {
+            "distribution": {"kind": "gamma", "shape": 2.0, "rate": 1.0},
+            "T_list": [20.0, 120.0],
+            "n_paths": 50,
+        }
+        if seed is not None:
+            payload["seed"] = seed
+        if env is not None:
+            monkeypatch.setenv("RENEWAL_LAB_SEED", env)
+        cfg = write_config(tmp_path, "c.json", payload)
+        res = runner.invoke(main, ["rootzen", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert f"config error: {field}:" in res.stderr
+
 
 class TestDeterminism:
     def test_same_seed_gives_byte_identical_artifacts(self, runner, tmp_path):
@@ -81,22 +102,6 @@ class TestDeterminism:
             assert res.exit_code == 0, res.output
         assert (tmp_path / "a" / "traces.csv").read_bytes() == (tmp_path / "b" / "traces.csv").read_bytes()
         assert (tmp_path / "a" / "summary.json").read_bytes() == (tmp_path / "b" / "summary.json").read_bytes()
-
-    def test_thread_count_does_not_change_artifacts(self, runner, tmp_path):
-        payload = {
-            "distribution": {"kind": "exponential", "rate": 1.0},
-            "grid": {"h": 0.02, "horizon": 40.0},
-            "seed": 13,
-            "n_traces": 120,
-            "t_checks": [],
-        }
-        cfg = write_config(tmp_path, "c.json", payload)
-        for out, threads in (("a", "1"), ("b", "4")):
-            res = runner.invoke(
-                main, ["couple", "--config", cfg, "--out", str(tmp_path / out), "--threads", threads]
-            )
-            assert res.exit_code == 0, res.output
-        assert (tmp_path / "a" / "traces.csv").read_bytes() == (tmp_path / "b" / "traces.csv").read_bytes()
 
     def test_task_streams_do_not_collide_across_seeds(self):
         # seed ^ index would give seed 6, task 1 the stream of seed 7, task 0
@@ -191,6 +196,26 @@ class TestSubcommands:
         cfg = write_config(tmp_path, "c.json", payload)
         res = runner.invoke(main, ["compensator", "--config", cfg, "--out", str(tmp_path / "o"), "--strict"])
         assert res.exit_code == 0, res.output
+
+    def test_phi_shares_criterion_1_check(self, runner, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {**BASE, "grid": {"h": 0.005, "horizon": 100.0}})
+        res = runner.invoke(main, ["phi", "--config", cfg, "--out", str(tmp_path / "o"), "--strict"])
+        assert res.exit_code == 0, res.output
+        checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+        (closed_form,) = [c for c in checks if c["name"].startswith("1. ")]
+        (expected,) = CRITERIA[1](DEFAULT_SEED)
+        assert closed_form["measured"]["max_abs_err"] == expected.measured["max_abs_err"]
+
+    def test_stone_shares_criterion_4_check(self, runner, tmp_path):
+        payload = {"distribution": {"kind": "gamma", "shape": 2.0, "rate": 1.0}, "seed": 5}
+        cfg = write_config(tmp_path, "c.json", payload)
+        res = runner.invoke(main, ["stone", "--config", cfg, "--out", str(tmp_path / "o"), "--strict"])
+        assert res.exit_code == 0, res.output
+        checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+        (split,) = [c for c in checks if c["name"].startswith("4. ")]
+        (expected,) = CRITERIA[4](DEFAULT_SEED)
+        assert split["measured"] == expected.measured
+        assert split["tolerance"] == expected.tolerance
 
     def test_all_subset_runs_and_reports(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"seed": 20260809})
