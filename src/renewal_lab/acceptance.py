@@ -241,7 +241,7 @@ def check_compensator(dist: Distribution, paths, mults) -> list[CheckResult]:
             f"cycle hazards are standard exponential, {dist.kind}",
             bool(ks.pvalue >= 0.05),
             {"ks": float(ks.statistic), "pvalue": float(ks.pvalue), "n_cycles": len(pool)},
-            "KS vs Exp(1) at the 5% level, >= 1e4 cycles",
+            f"KS vs Exp(1) at the 5% level over {_count(len(pool))} pooled cycles",
         ),
         CheckResult(
             10,

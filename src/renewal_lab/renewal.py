@@ -9,7 +9,11 @@ is solved by relaxed (online) convolution in O(n log^2 n): dense 64-node
 blocks, with the effect of each solved stretch on the next pushed forward
 by one FFT middle product (Hairer, Lubich & Schlichte 1985; van der Hoeven
 2002).  The forward recurrence law at time t is evaluated from the identity
-P(B_t <= x) = int_0^t F((t-u, t+x-u]) Phi(du).
+P(B_t <= x) = int_0^t F((t-u, t+x-u]) Phi(du), and its density the same way
+with f: on the X + 1 x-nodes each is one middle product of the trapezoid
+weights of Phi on [0, t] with F or f on the lattice, computing only the
+outputs kept (Hanrot, Quercia & Zimmermann 2004), summed directly for small
+reads and by one power-of-two FFT for large ones.
 """
 
 from __future__ import annotations
@@ -113,13 +117,13 @@ def volterra_renewal_density(kernel: np.ndarray, rhs: np.ndarray, grid: Grid) ->
         out = min(s, n - stop)
         taps = hk[1 : 2 * s]
         if s <= _DIRECT_MAX:
-            middle = np.convolve(y[stop - s : stop], taps)
+            middle = np.convolve(taps, y[stop - s : stop], mode="valid")
         else:
             spectrum = spectra.get(s)
             if spectrum is None:
                 spectrum = spectra[s] = np.fft.rfft(taps, 2 * s)
-            middle = np.fft.irfft(np.fft.rfft(y[stop - s : stop], 2 * s) * spectrum, 2 * s)
-        acc[stop : stop + out] += middle[s - 1 : s - 1 + out]
+            middle = np.fft.irfft(np.fft.rfft(y[stop - s : stop], 2 * s) * spectrum, 2 * s)[s - 1 :]
+        acc[stop : stop + out] += middle[:out]
     return x
 
 
@@ -207,6 +211,40 @@ def _check_steps_match(x_grid: Grid, phi: GridMeasure) -> None:
         )
 
 
+# largest read, in multiply-adds (kt + 1)(X + 1), summed directly; larger ones use rfft
+_READ_DIRECT_MAX = 1 << 20
+
+
+def _middle_product(w: np.ndarray, vals: np.ndarray, count: int) -> np.ndarray:
+    """out[j] = sum_i w[i] vals[kt + j - i] for j = 0..count, kt = len(w) - 1.
+
+    These are the count + 1 outputs of np.convolve(w, vals) that a read at
+    node kt keeps (Hanrot, Quercia & Zimmermann 2004).  Small reads sum them
+    directly; large ones take one power-of-two cyclic product of length
+    >= kt + count + 1, whose wrap-around stays below index kt.
+    """
+    kt = len(w) - 1
+    if (kt + 1) * (count + 1) <= _READ_DIRECT_MAX:
+        return np.convolve(vals, w, mode="valid")
+    size = 1 << (kt + count).bit_length()
+    return np.fft.irfft(np.fft.rfft(vals, size) * np.fft.rfft(w, size), size)[kt : kt + count + 1]
+
+
+def _recurrence_read(
+    values_at, dist: Distribution, t: float, x_grid: Grid | None, phi: GridMeasure | None
+) -> tuple[Grid, float, np.ndarray, np.ndarray]:
+    """x-grid, atom of Phi at 0, g(t + x) and int_(0,t] g(t + x - u) Phi(du)
+    at the x-grid nodes, for g evaluated on the lattice by ``values_at``."""
+    if phi is None:
+        phi = renewal_measure(dist, default_grid(dist))
+    if x_grid is None:
+        x_grid = default_recurrence_grid(dist, phi.grid.step)
+    _check_steps_match(x_grid, phi)
+    kt, w = _recurrence_weights(phi, t)
+    nodes = np.asarray(values_at(phi.grid.step * np.arange(kt + x_grid.count + 1)), dtype=float)
+    return x_grid, phi.atom0, nodes[kt:], _middle_product(w, nodes, x_grid.count)
+
+
 def forward_recurrence_cdf(
     dist: Distribution,
     t: float,
@@ -214,21 +252,17 @@ def forward_recurrence_cdf(
     *,
     phi: GridMeasure | None = None,
 ) -> GridFunction:
-    """CDF of the forward recurrence time B_t of the zero-delayed process.
+    """CDF of the forward recurrence time B_t of the zero-delayed process,
+    P(B_t <= x) = int_0^t F((t-u, t+x-u]) Phi(du).
 
     t snaps to the nearest time-grid node.  The x-grid must share the time
-    grid's step so every F evaluation lands on one common lattice.
+    grid's step so every F evaluation lands on one common lattice; the
+    integral over the X + 1 x-nodes is one middle product of the trapezoid
+    weights of Phi with F on the lattice, in (kt + 1)(X + 1) multiply-adds
+    or, above 2^20 of them, by FFT.
     """
-    if phi is None:
-        phi = renewal_measure(dist, default_grid(dist))
-    if x_grid is None:
-        x_grid = default_recurrence_grid(dist, phi.grid.step)
-    _check_steps_match(x_grid, phi)
-    kt, w = _recurrence_weights(phi, t)
-    h = phi.grid.step
-    f_nodes = np.asarray(dist.cdf(h * np.arange(kt + x_grid.count + 1)), dtype=float)
-    conv = np.convolve(w, f_nodes)[kt : kt + x_grid.count + 1]
-    values = phi.atom0 * (f_nodes[kt : kt + x_grid.count + 1] - f_nodes[kt]) + (conv - conv[0])
+    x_grid, atom0, f, conv = _recurrence_read(dist.cdf, dist, t, x_grid, phi)
+    values = atom0 * (f - f[0]) + (conv - conv[0])
     values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
     return GridFunction(x_grid, values)
 
@@ -241,18 +275,10 @@ def forward_recurrence_density(
     phi: GridMeasure | None = None,
 ) -> GridFunction:
     """Density of B_t evaluated directly (no differencing):
-    p_t(x) = f(t + x) + int_0^t f(t + x - u) Phi(du)."""
-    if phi is None:
-        phi = renewal_measure(dist, default_grid(dist))
-    if x_grid is None:
-        x_grid = default_recurrence_grid(dist, phi.grid.step)
-    _check_steps_match(x_grid, phi)
-    kt, w = _recurrence_weights(phi, t)
-    h = phi.grid.step
-    dens_nodes = np.asarray(dist.density(h * np.arange(kt + x_grid.count + 1)), dtype=float)
-    conv = np.convolve(w, dens_nodes)[kt : kt + x_grid.count + 1]
-    values = phi.atom0 * dens_nodes[kt : kt + x_grid.count + 1] + conv
-    return GridFunction(x_grid, np.maximum(values, 0.0))
+    p_t(x) = f(t + x) + int_0^t f(t + x - u) Phi(du), read as the same
+    middle product as the CDF."""
+    x_grid, atom0, dens, conv = _recurrence_read(dist.density, dist, t, x_grid, phi)
+    return GridFunction(x_grid, np.maximum(atom0 * dens + conv, 0.0))
 
 
 def recurrence_density_at(dist: Distribution, t: float, x: float, *, phi: GridMeasure) -> float:

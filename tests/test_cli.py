@@ -196,6 +196,9 @@ class TestSubcommands:
         cfg = write_config(tmp_path, "c.json", payload)
         res = runner.invoke(main, ["compensator", "--config", cfg, "--out", str(tmp_path / "o"), "--strict"])
         assert res.exit_code == 0, res.output
+        checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+        (hazards,) = [c for c in checks if c["name"].startswith("10. cycle hazards")]
+        assert f"over {hazards['measured']['n_cycles']} pooled cycles" in hazards["tolerance"]
 
     def test_phi_shares_criterion_1_check(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**BASE, "grid": {"h": 0.005, "horizon": 100.0}})

@@ -1,4 +1,6 @@
 
+import functools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -21,7 +23,12 @@ from renewal_lab import (
 )
 from renewal_lab.compensator import sample_forward_recurrence
 from renewal_lab.errors import HorizonExceededError, StepTooCoarseError
-from renewal_lab.renewal import default_grid, default_recurrence_grid, volterra_renewal_density
+from renewal_lab.renewal import (
+    _READ_DIRECT_MAX,
+    default_grid,
+    default_recurrence_grid,
+    volterra_renewal_density,
+)
 
 
 def small_grid(dist, horizon_means=30.0, points_per_mean=100):
@@ -63,6 +70,76 @@ class TestVolterraSolver:
         assert np.array_equal(
             volterra_renewal_density(kernel, rhs, grid), volterra_renewal_density(kernel, rhs, grid)
         )
+
+
+def _recurrence_direct(dist, t, x_grid, phi, route):
+    """Recurrence-law read from the full np.convolve, sliced at [kt, kt + X]:
+    the oracle for the middle product."""
+    kt = phi.grid.index_of(t)
+    w = phi.density[: kt + 1] * phi.grid.step
+    if kt >= 1:
+        w[0] *= 0.5
+        w[-1] *= 0.5
+    else:
+        w[:] = 0.0
+    g = dist.cdf if route == "cdf" else dist.density
+    nodes = np.asarray(g(phi.grid.step * np.arange(kt + x_grid.count + 1)), dtype=float)
+    conv = np.convolve(w, nodes)[kt : kt + x_grid.count + 1]
+    if route == "density":
+        return np.maximum(phi.atom0 * nodes[kt:] + conv, 0.0)
+    values = phi.atom0 * (nodes[kt:] - nodes[kt]) + (conv - conv[0])
+    return np.maximum.accumulate(np.clip(values, 0.0, 1.0))
+
+
+_READS = {"cdf": forward_recurrence_cdf, "density": forward_recurrence_density}
+
+
+@functools.cache
+def _default_phi(dist):
+    return renewal_measure(dist, default_grid(dist))
+
+
+class TestRecurrenceMiddleProduct:
+    """Reads at t = 0, one step, and 1, 10 and 80 means on the default grid.
+    With the default x-grid every kind reaches the FFT branch by 80 means;
+    with 40 x-nodes every read stays direct."""
+
+    @pytest.fixture
+    def phi(self, dist):
+        return _default_phi(dist)
+
+    @staticmethod
+    def x_grid(dist, phi, size):
+        if size == "default":
+            return default_recurrence_grid(dist, phi.grid.step)
+        return Grid(phi.grid.step, 40)
+
+    @pytest.mark.parametrize("size", ["default", "small"])
+    @pytest.mark.parametrize("route", ["cdf", "density"])
+    @pytest.mark.parametrize("t_means", [0.0, "step", 1.0, 10.0, 80.0])
+    def test_matches_full_convolution(self, dist, phi, size, route, t_means):
+        t = phi.grid.step if t_means == "step" else t_means * dist.mean()
+        x_grid = self.x_grid(dist, phi, size)
+        fast = _READS[route](dist, t, x_grid, phi=phi).values
+        direct = _recurrence_direct(dist, t, x_grid, phi, route)
+        assert fast.shape == direct.shape
+        kt = phi.grid.index_of(t)
+        if (kt + 1) * (x_grid.count + 1) <= _READ_DIRECT_MAX:
+            np.testing.assert_array_equal(fast, direct)
+        else:
+            assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_both_branches_run(self, dist, phi):
+        x_grid = self.x_grid(dist, phi, "default")
+        sizes = [(phi.grid.index_of(m * dist.mean()) + 1) * (x_grid.count + 1) for m in (0.0, 80.0)]
+        assert sizes[0] <= _READ_DIRECT_MAX < sizes[1]
+
+    @pytest.mark.parametrize("route", ["cdf", "density"])
+    def test_repeat_calls_are_identical(self, dist, phi, route):
+        x_grid = self.x_grid(dist, phi, "default")
+        t = 10.0 * dist.mean()
+        first = _READS[route](dist, t, x_grid, phi=phi).values
+        assert np.array_equal(first, _READS[route](dist, t, x_grid, phi=phi).values)
 
 
 class TestRenewalMeasure:
