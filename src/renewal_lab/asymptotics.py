@@ -17,7 +17,7 @@ from scipy import integrate, stats
 from .distributions import Distribution
 from .errors import InsufficientPointsError
 from .grids import Grid, GridFunction, GridMeasure, convolve_measure_function_at
-from .renewal import default_grid, default_recurrence_grid, renewal_measure, tv_to_stationary
+from .renewal import tv_to_stationary
 
 __all__ = ["DecayCurve", "SlopeFit", "krt_error_curve", "tv_decay_curve", "fit_slope"]
 
@@ -26,7 +26,6 @@ __all__ = ["DecayCurve", "SlopeFit", "krt_error_curve", "tv_decay_curve", "fit_s
 class DecayCurve:
     xs: np.ndarray
     errs: np.ndarray
-    label: str
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -39,10 +38,6 @@ class DecayCurve:
             raise ValueError("xs must be positive and strictly increasing")
         if not np.all(np.isfinite(errs)) or np.any(errs < 0.0):
             raise ValueError("errs must be finite and nonnegative")
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.column_stack((self.xs, self.errs))
 
 
 @dataclass(frozen=True)
@@ -69,20 +64,17 @@ def krt_error_curve(
     tail_exponent: float,
     xs,
     *,
+    phi: GridMeasure,
     grid: Grid | None = None,
-    phi: GridMeasure | None = None,
-    label: str | None = None,
 ) -> DecayCurve:
     """err(x) = |(Phi * z)(x) - m int_0^inf z| at the requested points.
 
     ``z_fn`` must be integrable and bounded with a known power-law tail
     exponent ``tail_exponent`` > 1 (used for the analytic tail of the limit
-    integral).  Points snap to grid nodes.
+    integral).  ``grid`` defaults to Phi's own grid.  Points snap to grid nodes.
     """
     if grid is None:
-        grid = default_grid(dist)
-    if phi is None:
-        phi = renewal_measure(dist, grid)
+        grid = phi.grid
     z = GridFunction.from_callable(grid, z_fn)
     target = dist.rate() * limit_integral(z_fn, tail_exponent, grid.horizon)
     xs = np.asarray(xs, dtype=float)
@@ -92,29 +84,21 @@ def krt_error_curve(
         k = grid.index_of(float(x))
         snapped[i] = k * grid.step
         errs[i] = abs(convolve_measure_function_at(phi, z, k) - target)
-    return DecayCurve(snapped, errs, label or f"krt:{dist.kind}:r={tail_exponent:g}")
+    return DecayCurve(snapped, errs)
 
 
 def tv_decay_curve(
     dist: Distribution,
     ts,
     *,
-    grid: Grid | None = None,
-    phi: GridMeasure | None = None,
+    phi: GridMeasure,
     x_grid: Grid | None = None,
-    label: str | None = None,
 ) -> DecayCurve:
     """err(t) = total variation between the recurrence law at t and the
-    stationary delay law."""
-    if grid is None:
-        grid = default_grid(dist)
-    if phi is None:
-        phi = renewal_measure(dist, grid)
-    if x_grid is None:
-        x_grid = default_recurrence_grid(dist, phi.grid.step)
+    stationary delay law, read off the renewal measure Phi."""
     ts = np.asarray(ts, dtype=float)
     errs = np.asarray([tv_to_stationary(dist, float(t), x_grid, phi=phi) for t in ts])
-    return DecayCurve(ts, errs, label or f"tv:{dist.kind}")
+    return DecayCurve(ts, errs)
 
 
 def fit_slope(curve: DecayCurve, window: tuple[float, float], floor: float = 0.0) -> SlopeFit:

@@ -131,43 +131,31 @@ def simulate_path(
     return RenewalPath(tau0, events[:keep], horizon)
 
 
-def sample_forward_recurrence(
-    dist: Distribution,
-    t: float,
-    n: int,
-    rng: np.random.Generator,
-    chunk: int = 20000,
-) -> np.ndarray:
+# rows simulated together by sample_forward_recurrence, bounding its block memory
+_RECURRENCE_ROWS = 20000
+
+
+def sample_forward_recurrence(dist: Distribution, t: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent draws of B_t for the zero-delayed process, by direct
-    block simulation of partial sums until they pass t."""
+    block simulation of partial sums until they pass t.
+
+    Rows go in batches of at most ``_RECURRENCE_ROWS``; each round extends
+    the rows still at or below t by one block of partial sums.
+    """
     mean = dist.mean()
+    width = int(1.25 * t / mean + 10.0 * math.sqrt(t / mean + 1.0) + 16.0)
     out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = min(chunk, n - filled)
-        width = int(1.25 * t / mean + 10.0 * math.sqrt(t / mean + 1.0) + 16.0)
-        totals = np.cumsum(draw_interarrivals(dist, (m, width), rng), axis=1)
-        last = totals[:, -1].copy()
-        rows = np.arange(m)
-        result = np.full(m, np.nan)
-        done = last > t
-        if np.any(done):
-            idx = np.argmax(totals[done] > t, axis=1)
-            result[done] = totals[done, idx] - t
-        while not np.all(done):
-            todo = ~done
-            extra = np.cumsum(draw_interarrivals(dist, (int(todo.sum()), width), rng), axis=1)
-            extra += last[todo, None]
-            sub_done = extra[:, -1] > t
-            hit = extra > t
-            first = np.argmax(hit, axis=1)
-            vals = extra[np.arange(extra.shape[0]), first] - t
-            sub_rows = rows[todo]
-            result[sub_rows[sub_done]] = vals[sub_done]
-            last[sub_rows] = extra[:, -1]
-            done[sub_rows[sub_done]] = True
-        out[filled : filled + m] = result
-        filled += m
+    for start in range(0, n, _RECURRENCE_ROWS):
+        rows = np.arange(start, min(start + _RECURRENCE_ROWS, n))
+        last = np.zeros(len(rows))
+        while len(rows):
+            totals = np.cumsum(draw_interarrivals(dist, (len(rows), width), rng), axis=1)
+            totals += last[:, None]
+            done = totals[:, -1] > t
+            first = np.argmax(totals > t, axis=1)
+            out[rows[done]] = totals[done, first[done]] - t
+            rows, last = rows[~done], totals[~done, -1]
+            del totals  # one block alive at a time: most batches end in one round
     return out
 
 

@@ -10,8 +10,7 @@ processes share a renewal at the coupling time L_sigma + U.
 
 Recurrence-time draws use direct segment simulation (exact law); the
 densities entering the thinning ratio come from the grid quadrature of the
-recurrence-law integral.  Fixed-time bulk sampling, where one law is reused
-for many draws, goes through the grid inverse CDF instead.
+recurrence-law integral, read off the renewal measure Phi the caller passes.
 """
 
 from __future__ import annotations
@@ -24,14 +23,8 @@ import numpy as np
 from .distributions import Distribution
 from .errors import NoCommonComponentError, NotNormalizedError, ThinningError
 from .grids import Grid, GridMeasure, inverse_cdf, overlap_mass
-from .renewal import (
-    default_grid,
-    forward_recurrence_cdf,
-    forward_recurrence_density,
-    recurrence_density_at,
-    renewal_measure,
-)
-from .compensator import draw_interarrivals
+from .renewal import forward_recurrence_density, recurrence_density_at
+from .compensator import draw_interarrivals, simulate_path
 
 __all__ = [
     "CouplingParams",
@@ -45,7 +38,6 @@ __all__ = [
     "coupled_event_sequences",
     "coupling_tail",
     "coupling_moment",
-    "sample_recurrence_grid_cdf",
 ]
 
 
@@ -127,9 +119,8 @@ def _lattice_densities(dist, phi, t_points, x_grid: Grid) -> np.ndarray:
 
 def find_common_component(
     dist: Distribution,
-    grid: Grid | None = None,
     *,
-    phi: GridMeasure | None = None,
+    phi: GridMeasure,
     d0: float | None = None,
     lattice_step: float | None = None,
 ) -> CouplingParams:
@@ -144,8 +135,6 @@ def find_common_component(
     larger burn-in only stretches every probe step.
     """
     mean = dist.mean()
-    if phi is None:
-        phi = renewal_measure(dist, grid if grid is not None else default_grid(dist))
     h = phi.grid.step
     d0 = 0.5 * mean if d0 is None else d0
     step = 0.5 * mean if lattice_step is None else lattice_step
@@ -256,7 +245,7 @@ def simulate_coupling(
     params: CouplingParams,
     rng: np.random.Generator,
     *,
-    phi: GridMeasure | None = None,
+    phi: GridMeasure,
     max_steps: int = 10_000,
 ) -> CouplingTrace:
     """Run the probe chain until the thinning accepts, then couple.
@@ -266,8 +255,6 @@ def simulate_coupling(
     uniform draw for both processes, so the post-coupling sequences agree
     exactly.
     """
-    if phi is None:
-        phi = renewal_measure(dist, default_grid(dist))
     b, d, delta = params.b, params.d, params.delta
     inv_b = 1.0 / b
     # beyond the verified burn-in lattice the recurrence law has stabilized at
@@ -337,16 +324,11 @@ def coupled_event_sequences(
     Before the coupling time the entries are the chain's probe renewals (not
     every renewal of the underlying processes); from the coupling time on,
     both sequences share one freshly drawn continuation, so they agree
-    exactly.
+    exactly: the renewal path delayed by the coupling time, up to its first
+    event past the horizon.
     """
     t_c = trace.coupling_time
-    post = [t_c]
-    total = t_c
-    while total <= horizon:
-        step = float(draw_interarrivals(dist, 1, rng)[0])
-        total += step
-        post.append(total)
-    post = np.asarray(post)
+    post = simulate_path(dist, horizon, t_c, rng).events
     pure_skel = trace.eta[1:, 0] if len(trace.eta) > 1 else np.empty(0)
     stat_skel = trace.eta[:, 1]
     pure = np.concatenate((pure_skel[pure_skel < t_c], post))
@@ -389,21 +371,3 @@ def coupling_moment(traces, q: float) -> MomentEstimate:
     powers = np.asarray([tr.coupling_time for tr in traces]) ** q
     return MomentEstimate(float(np.mean(powers)), float(np.std(powers, ddof=1) / math.sqrt(len(powers))))
 
-
-def sample_recurrence_grid_cdf(
-    dist: Distribution,
-    t: float,
-    n: int,
-    rng: np.random.Generator,
-    *,
-    phi: GridMeasure | None = None,
-) -> np.ndarray:
-    """n draws of B_t through the grid inverse CDF (one law, many draws).
-
-    Builds the recurrence CDF once and inverts it by binary search, so each
-    draw costs O(log grid size); the law is exact to the grid quadrature.
-    """
-    cdf = forward_recurrence_cdf(dist, t, phi=phi)
-    values = cdf.values / max(cdf.values[-1], 1e-300)
-    u = rng.random(n)
-    return np.interp(u, values, cdf.grid.nodes())

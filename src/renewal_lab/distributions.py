@@ -80,9 +80,6 @@ class Distribution(ABC):
 
     # -- derived functions --------------------------------------------------
 
-    def survival(self, x):
-        return 1.0 - self.cdf(x)
-
     def hazard(self, x):
         """mu(x) = f(x) / (1 - F(x)); fails where the support is exhausted."""
         x = np.asarray(x, dtype=float)

@@ -152,9 +152,6 @@ class GridMeasure:
 
         return value_at(hi) - value_at(lo)
 
-    def as_function(self) -> GridFunction:
-        return GridFunction(self.grid, self.density)
-
     @staticmethod
     def dirac(grid: Grid, mass: float = 1.0) -> "GridMeasure":
         return GridMeasure(grid, mass, np.zeros(grid.n_nodes))

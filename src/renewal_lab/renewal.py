@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
@@ -71,8 +70,15 @@ def default_recurrence_grid(dist: Distribution, step: float) -> Grid:
 
 # nodes solved together by one dense triangular solve
 _BLOCK = 64
-# largest stretch whose middle product is summed directly; longer ones use rfft
-_DIRECT_MAX = 256
+# a middle product is summed directly while its multiply-adds stay within
+# _CROSSOVER N log2 N, N the power-of-two length its FFT would take
+_CROSSOVER = 16
+
+
+def _direct_is_cheaper(taps: int, outputs: int, size: int) -> bool:
+    """Whether ``outputs`` middle-product outputs over ``taps`` weights are
+    cheaper summed directly than by one cyclic product of length ``size``."""
+    return taps * outputs <= _CROSSOVER * size * (size.bit_length() - 1)
 
 
 def volterra_renewal_density(kernel: np.ndarray, rhs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -116,7 +122,7 @@ def volterra_renewal_density(kernel: np.ndarray, rhs: np.ndarray, grid: Grid) ->
         s = m * (blocks & -blocks)
         out = min(s, n - stop)
         taps = hk[1 : 2 * s]
-        if s <= _DIRECT_MAX:
+        if _direct_is_cheaper(s, s, 2 * s):
             middle = np.convolve(taps, y[stop - s : stop], mode="valid")
         else:
             spectrum = spectra.get(s)
@@ -138,29 +144,14 @@ def renewal_measure(dist: Distribution, grid: Grid, kernel: GridMeasure | None =
 
 @dataclass(frozen=True)
 class RenewalSolution:
-    """Solution Z of Z = z + F * Z together with its ingredients.
-
-    ``phi``, the renewal measure on the same grid, costs a second solve; it
-    runs on first read unless the caller passed ``phi`` in.
-    """
+    """Solution Z of Z = z + F * Z with its forcing and solver residual."""
 
     Z: GridFunction
     forcing: GridFunction
     residual: float
-    dist: Distribution
-    kernel: GridMeasure
-
-    @cached_property
-    def phi(self) -> GridMeasure:
-        return renewal_measure(self.dist, self.Z.grid, kernel=self.kernel)
 
 
-def solve_renewal_equation(
-    dist: Distribution,
-    forcing: GridFunction,
-    *,
-    phi: GridMeasure | None = None,
-) -> RenewalSolution:
+def solve_renewal_equation(dist: Distribution, forcing: GridFunction) -> RenewalSolution:
     """Solution of the discrete renewal equation by the Volterra solver.
 
     The residual reported is sup |Z - z - F * Z| recomputed through the
@@ -173,10 +164,7 @@ def solve_renewal_equation(
     Z = GridFunction(grid, values)
     conv = convolve_measure_function(GridMeasure(grid, 0.0, kernel.density), Z)
     residual = float(np.max(np.abs(values - forcing.values - conv.values)))
-    sol = RenewalSolution(Z, forcing, residual, dist, kernel)
-    if phi is not None:
-        sol.__dict__["phi"] = phi  # pre-fills the cached property
-    return sol
+    return RenewalSolution(Z, forcing, residual)
 
 
 def linear_forcing(dist: Distribution, grid: Grid) -> GridFunction:
@@ -211,32 +199,27 @@ def _check_steps_match(x_grid: Grid, phi: GridMeasure) -> None:
         )
 
 
-# largest read, in multiply-adds (kt + 1)(X + 1), summed directly; larger ones use rfft
-_READ_DIRECT_MAX = 1 << 20
-
-
 def _middle_product(w: np.ndarray, vals: np.ndarray, count: int) -> np.ndarray:
     """out[j] = sum_i w[i] vals[kt + j - i] for j = 0..count, kt = len(w) - 1.
 
     These are the count + 1 outputs of np.convolve(w, vals) that a read at
-    node kt keeps (Hanrot, Quercia & Zimmermann 2004).  Small reads sum them
-    directly; large ones take one power-of-two cyclic product of length
-    >= kt + count + 1, whose wrap-around stays below index kt.
+    node kt keeps (Hanrot, Quercia & Zimmermann 2004).  They are summed
+    directly or, where ``_direct_is_cheaper`` says the FFT wins, taken from
+    one power-of-two cyclic product of length >= kt + count + 1, whose
+    wrap-around stays below index kt.
     """
     kt = len(w) - 1
-    if (kt + 1) * (count + 1) <= _READ_DIRECT_MAX:
-        return np.convolve(vals, w, mode="valid")
     size = 1 << (kt + count).bit_length()
+    if _direct_is_cheaper(kt + 1, count + 1, size):
+        return np.convolve(vals, w, mode="valid")
     return np.fft.irfft(np.fft.rfft(vals, size) * np.fft.rfft(w, size), size)[kt : kt + count + 1]
 
 
 def _recurrence_read(
-    values_at, dist: Distribution, t: float, x_grid: Grid | None, phi: GridMeasure | None
+    values_at, dist: Distribution, t: float, x_grid: Grid | None, phi: GridMeasure
 ) -> tuple[Grid, float, np.ndarray, np.ndarray]:
     """x-grid, atom of Phi at 0, g(t + x) and int_(0,t] g(t + x - u) Phi(du)
     at the x-grid nodes, for g evaluated on the lattice by ``values_at``."""
-    if phi is None:
-        phi = renewal_measure(dist, default_grid(dist))
     if x_grid is None:
         x_grid = default_recurrence_grid(dist, phi.grid.step)
     _check_steps_match(x_grid, phi)
@@ -246,20 +229,17 @@ def _recurrence_read(
 
 
 def forward_recurrence_cdf(
-    dist: Distribution,
-    t: float,
-    x_grid: Grid | None = None,
-    *,
-    phi: GridMeasure | None = None,
+    dist: Distribution, t: float, x_grid: Grid | None = None, *, phi: GridMeasure
 ) -> GridFunction:
     """CDF of the forward recurrence time B_t of the zero-delayed process,
     P(B_t <= x) = int_0^t F((t-u, t+x-u]) Phi(du).
 
-    t snaps to the nearest time-grid node.  The x-grid must share the time
-    grid's step so every F evaluation lands on one common lattice; the
+    Phi is the renewal measure on the time grid; t snaps to its nearest
+    node.  The x-grid (by default ``default_recurrence_grid``) must share the
+    time grid's step so every F evaluation lands on one common lattice; the
     integral over the X + 1 x-nodes is one middle product of the trapezoid
     weights of Phi with F on the lattice, in (kt + 1)(X + 1) multiply-adds
-    or, above 2^20 of them, by FFT.
+    or, where those exceed 16 N log2 N for the FFT length N, by FFT.
     """
     x_grid, atom0, f, conv = _recurrence_read(dist.cdf, dist, t, x_grid, phi)
     values = atom0 * (f - f[0]) + (conv - conv[0])
@@ -268,11 +248,7 @@ def forward_recurrence_cdf(
 
 
 def forward_recurrence_density(
-    dist: Distribution,
-    t: float,
-    x_grid: Grid | None = None,
-    *,
-    phi: GridMeasure | None = None,
+    dist: Distribution, t: float, x_grid: Grid | None = None, *, phi: GridMeasure
 ) -> GridFunction:
     """Density of B_t evaluated directly (no differencing):
     p_t(x) = f(t + x) + int_0^t f(t + x - u) Phi(du), read as the same
@@ -327,17 +303,14 @@ def tv_to_stationary(
     t: float,
     x_grid: Grid | None = None,
     *,
-    phi: GridMeasure | None = None,
+    phi: GridMeasure,
     diagnostics: dict | None = None,
 ) -> float:
     """Total variation distance between the law of B_t and the stationary
     delay law, both reduced to the x-grid with tail mass lumped into the
     last node so each side carries exactly unit mass."""
-    if phi is None:
-        phi = renewal_measure(dist, default_grid(dist))
-    if x_grid is None:
-        x_grid = default_recurrence_grid(dist, phi.grid.step)
     cdf = forward_recurrence_cdf(dist, t, x_grid, phi=phi)
+    x_grid = cdf.grid
     dens, clipped = bt_density_from_cdf(cdf)
     tail_b = max(0.0, 1.0 - float(cdf.values[-1]))
     bt = GridMeasure(x_grid, 0.0, _lump_tail(dens, tail_b, x_grid.step))

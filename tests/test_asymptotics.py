@@ -10,45 +10,45 @@ from renewal_lab.renewal import renewal_measure
 class TestFitSlope:
     def test_exact_power_law_recovered(self):
         xs = np.geomspace(1.0, 100.0, 12)
-        curve = DecayCurve(xs, xs**-2.0, "synthetic")
+        curve = DecayCurve(xs, xs**-2.0)
         fit = fit_slope(curve, (1.0, 100.0))
         assert fit.slope == pytest.approx(-2.0, abs=1e-10)
         assert fit.r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_perturbed_power_law(self):
         xs = np.geomspace(5.0, 200.0, 25)
-        curve = DecayCurve(xs, 3.0 * xs**-1.5 * (1.0 + 0.01 * np.sin(xs)), "synthetic")
+        curve = DecayCurve(xs, 3.0 * xs**-1.5 * (1.0 + 0.01 * np.sin(xs)))
         fit = fit_slope(curve, (5.0, 200.0))
         assert -1.6 < fit.slope < -1.4
 
     def test_floor_exclusion_reported(self):
         xs = np.geomspace(1.0, 100.0, 10)
         errs = xs**-1.0
-        curve = DecayCurve(xs, errs, "synthetic")
+        curve = DecayCurve(xs, errs)
         fit = fit_slope(curve, (1.0, 100.0), floor=errs[-3] + 1e-12)
         assert fit.n_excluded == 3
         assert fit.n_points == 7
 
     def test_all_points_below_floor_is_an_error(self):
         xs = np.geomspace(1.0, 100.0, 10)
-        curve = DecayCurve(xs, xs**-2.0, "synthetic")
+        curve = DecayCurve(xs, xs**-2.0)
         with pytest.raises(InsufficientPointsError):
             fit_slope(curve, (1.0, 100.0), floor=1.0)
 
     def test_window_filtering(self):
         xs = np.geomspace(1.0, 100.0, 30)
-        curve = DecayCurve(xs, xs**-2.0, "synthetic")
+        curve = DecayCurve(xs, xs**-2.0)
         fit = fit_slope(curve, (5.0, 50.0))
         assert fit.window == (5.0, 50.0)
         assert fit.n_points == int(np.sum((xs >= 5.0) & (xs <= 50.0)))
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
-            DecayCurve(np.array([1.0, 1.0]), np.array([1.0, 1.0]), "dup")
+            DecayCurve(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
-            DecayCurve(np.array([1.0, 2.0]), np.array([1.0, -1.0]), "neg")
+            DecayCurve(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
-            DecayCurve(np.array([-1.0, 2.0]), np.array([1.0, 1.0]), "negx")
+            DecayCurve(np.array([-1.0, 2.0]), np.array([1.0, 1.0]))
 
 
 class TestLimitIntegral:
@@ -99,7 +99,7 @@ class TestTvCurve:
         d = Exponential(1.0)
         grid = Grid(1.0 / 200.0, 200 * 40)
         phi = renewal_measure(d, grid)
-        curve = tv_decay_curve(d, [2.0, 8.0, 20.0], grid=grid, phi=phi)
+        curve = tv_decay_curve(d, [2.0, 8.0, 20.0], phi=phi)
         assert np.max(curve.errs) < 1e-4
 
     def test_gamma_weighted_decay_in_resolvable_range(self):
@@ -108,7 +108,7 @@ class TestTvCurve:
         grid = Grid(d.mean() / 200.0, 200 * 30)
         phi = renewal_measure(d, grid)
         ts = np.array([2.0, 3.5, 5.0])
-        curve = tv_decay_curve(d, ts, grid=grid, phi=phi)
+        curve = tv_decay_curve(d, ts, phi=phi)
         weighted = ts**2 * curve.errs
         assert weighted[0] > weighted[1] > weighted[2]
 
@@ -123,12 +123,5 @@ class TestTvCurve:
         assert krt.errs[-1] < krt.errs[0]
         g = Gamma(2.0, 1.0)
         grid_g = Grid(g.mean() / 200.0, 200 * 30)
-        tv = tv_decay_curve(g, [2.0, 4.0, 8.0, 16.0], grid=grid_g, phi=renewal_measure(g, grid_g))
+        tv = tv_decay_curve(g, [2.0, 4.0, 8.0, 16.0], phi=renewal_measure(g, grid_g))
         assert tv.errs[-1] < tv.errs[0]
-
-    def test_labels(self):
-        d = Exponential(1.0)
-        grid = Grid(1.0 / 100.0, 100 * 20)
-        phi = renewal_measure(d, grid)
-        curve = tv_decay_curve(d, [1.0, 2.0], grid=grid, phi=phi, label="custom")
-        assert curve.label == "custom"

@@ -19,7 +19,7 @@ from renewal_lab import (
     simulate_coupling,
     tv_distance,
 )
-from renewal_lab.coupling import sample_recurrence_grid_cdf, verify_common_component
+from renewal_lab.coupling import verify_common_component
 from renewal_lab.errors import NoCommonComponentError, NotNormalizedError
 from renewal_lab.grids import measure_from_distribution
 
@@ -211,18 +211,16 @@ class TestCouplingChain:
             assert np.array_equal(post1, post2)
             assert post1[0] == tr.coupling_time
 
-    def test_marginal_recurrence_draw_matches_direct_simulation(self, rng):
-        # grid inverse-CDF sampling against the block simulator at a fixed t
-        d = Gamma(2.0, 1.0)
-        phi = renewal_measure(d, grid_for(d))
-        t = 7.3
-        n = 20_000
-        from renewal_lab.compensator import sample_forward_recurrence
-
-        a = sample_recurrence_grid_cdf(d, t, n, rng, phi=phi)
-        b = sample_forward_recurrence(d, t, n, rng)
-        res = stats.ks_2samp(a, b)
-        assert res.pvalue > 0.01
+    def test_continuation_runs_from_coupling_time_past_horizon(self, gamma_setup, rng):
+        d, phi, params = gamma_setup
+        for seed in range(5):
+            tr = simulate_coupling(d, params, np.random.default_rng(seed), phi=phi)
+            horizon = tr.coupling_time + 40.0
+            e1, _ = coupled_event_sequences(tr, d, horizon, rng)
+            post = e1[e1 >= tr.coupling_time]
+            assert post[0] == tr.coupling_time
+            assert np.all(np.diff(post) > 0.0)
+            assert np.sum(post > horizon) == 1 and post[-1] > horizon
 
 
 class TestCouplingSummaries:

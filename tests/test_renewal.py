@@ -6,25 +6,31 @@ import pytest
 from scipy import stats
 
 from renewal_lab import (
+    CouplingParams,
     Exponential,
     Gamma,
     Grid,
     GridFunction,
+    ShiftedPareto,
     Uniform,
     convolve_measure_function,
     convolve_measures,
+    find_common_component,
     forward_recurrence_cdf,
     forward_recurrence_density,
+    krt_error_curve,
     linear_forcing,
     measure_from_distribution,
     renewal_measure,
+    simulate_coupling,
     solve_renewal_equation,
+    tv_decay_curve,
     tv_to_stationary,
 )
 from renewal_lab.compensator import sample_forward_recurrence
 from renewal_lab.errors import HorizonExceededError, StepTooCoarseError
 from renewal_lab.renewal import (
-    _READ_DIRECT_MAX,
+    _direct_is_cheaper,
     default_grid,
     default_recurrence_grid,
     volterra_renewal_density,
@@ -101,7 +107,7 @@ def _default_phi(dist):
 
 class TestRecurrenceMiddleProduct:
     """Reads at t = 0, one step, and 1, 10 and 80 means on the default grid.
-    With the default x-grid every kind reaches the FFT branch by 80 means;
+    With the default x-grid every kind takes the FFT branch at 10 means;
     with 40 x-nodes every read stays direct."""
 
     @pytest.fixture
@@ -123,16 +129,30 @@ class TestRecurrenceMiddleProduct:
         fast = _READS[route](dist, t, x_grid, phi=phi).values
         direct = _recurrence_direct(dist, t, x_grid, phi, route)
         assert fast.shape == direct.shape
-        kt = phi.grid.index_of(t)
-        if (kt + 1) * (x_grid.count + 1) <= _READ_DIRECT_MAX:
+        if self.is_direct(phi.grid.index_of(t), x_grid):
             np.testing.assert_array_equal(fast, direct)
         else:
             assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
 
+    @staticmethod
+    def is_direct(kt, x_grid):
+        return _direct_is_cheaper(kt + 1, x_grid.count + 1, 1 << (kt + x_grid.count).bit_length())
+
     def test_both_branches_run(self, dist, phi):
         x_grid = self.x_grid(dist, phi, "default")
-        sizes = [(phi.grid.index_of(m * dist.mean()) + 1) * (x_grid.count + 1) for m in (0.0, 80.0)]
-        assert sizes[0] <= _READ_DIRECT_MAX < sizes[1]
+        assert self.is_direct(0, x_grid)
+        assert not self.is_direct(phi.grid.index_of(10.0 * dist.mean()), x_grid)
+
+    @pytest.mark.parametrize("route", ["cdf", "density"])
+    def test_wide_shallow_read_is_summed_directly(self, route):
+        # 201 weights against shifted-pareto's 25399 x-nodes: the direct sum
+        # beats a 32768-point FFT, so the read equals the oracle bit for bit
+        d = ShiftedPareto(3.5, 1.0)
+        phi = _default_phi(d)
+        x_grid = default_recurrence_grid(d, phi.grid.step)
+        t = 200 * phi.grid.step
+        fast = _READS[route](d, t, x_grid, phi=phi).values
+        np.testing.assert_array_equal(fast, _recurrence_direct(d, t, x_grid, phi, route))
 
     @pytest.mark.parametrize("route", ["cdf", "density"])
     def test_repeat_calls_are_identical(self, dist, phi, route):
@@ -254,22 +274,12 @@ class TestRenewalEquation:
         sol = solve_renewal_equation(dist, GridFunction(grid, bumped))
         assert np.max(np.abs(sol.Z.values - base.Z.values)) >= eps * (1.0 - 1e-12)
 
-    def test_phi_is_solved_on_read_or_taken_as_given(self):
-        d = Gamma(2.0, 1.0)
-        grid = small_grid(d, horizon_means=10.0)
-        z = linear_forcing(d, grid)
-        sol = solve_renewal_equation(d, z)
-        assert "phi" not in sol.__dict__
-        np.testing.assert_array_equal(sol.phi.density, renewal_measure(d, grid).density)
-        given = renewal_measure(d, grid)
-        assert solve_renewal_equation(d, z, phi=given).phi is given
-
     def test_agrees_with_measure_convolution(self):
         d = Exponential(1.0)
         grid = small_grid(d, horizon_means=10.0)
         z = GridFunction.from_callable(grid, lambda x: np.where(x <= 1.0, 1.0, 0.0))
         sol = solve_renewal_equation(d, z)
-        direct = convolve_measure_function(sol.phi, z)
+        direct = convolve_measure_function(renewal_measure(d, grid), z)
         assert np.max(np.abs(direct.values - sol.Z.values)) < 5.0 * grid.step
 
     def test_indicator_forcing_against_fine_grid_oracle(self):
@@ -394,6 +404,26 @@ class TestTvToStationary:
         tv_to_stationary(d, 3.0, phi=phi, diagnostics=diag)
         assert set(diag) == {"clipped_mass", "tail_mass_bt", "tail_mass_stationary"}
         assert diag["clipped_mass"] >= 0.0
+
+
+_NEEDS_PHI = {
+    "forward_recurrence_cdf": lambda d: forward_recurrence_cdf(d, 1.0),
+    "forward_recurrence_density": lambda d: forward_recurrence_density(d, 1.0),
+    "tv_to_stationary": lambda d: tv_to_stationary(d, 1.0),
+    "find_common_component": lambda d: find_common_component(d),
+    "simulate_coupling": lambda d: simulate_coupling(
+        d, CouplingParams(0.5, 1.0, 0.1), np.random.default_rng(0)
+    ),
+    "krt_error_curve": lambda d: krt_error_curve(d, lambda y: (1.0 + y) ** -2.0, 2.0, [10.0]),
+    "tv_decay_curve": lambda d: tv_decay_curve(d, [1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEEDS_PHI))
+def test_phi_is_a_required_argument(name):
+    # the caller decides which renewal measure a result is read off
+    with pytest.raises(TypeError, match="phi"):
+        _NEEDS_PHI[name](Gamma(2.0, 1.0))
 
 
 class TestDefaultGrids:
