@@ -207,7 +207,9 @@ def check_coupling_inequality(dist: Distribution, traces, phi: GridMeasure, ts) 
 
 def martingale_residuals(path, dist: Distribution, mults) -> list[float]:
     """N(t) - 1 - Lambda(t) of one zero-delayed path at t = m * mean."""
-    return [path.count(m * dist.mean()) - 1 - compensator_at(path, dist, m * dist.mean()) for m in mults]
+    ts = np.asarray(mults, dtype=float) * dist.mean()
+    lam = compensator_at(path, dist, ts)
+    return [path.count(t) - 1 - float(v) for t, v in zip(ts.tolist(), lam)]
 
 
 def check_compensator(dist: Distribution, paths, mults) -> list[CheckResult]:

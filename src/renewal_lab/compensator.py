@@ -99,16 +99,16 @@ def simulate_path(
     """
     if rng is None:
         raise ValueError("an explicitly seeded rng is required")
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     if delay == "zero":
         tau0 = 0.0
     elif delay == "stationary":
         tau0 = dist.sample_stationary_delay(rng)
     else:
         tau0 = float(delay)
-        if tau0 < 0.0:
-            raise ValueError(f"fixed delay must be >= 0, got {tau0}")
+        if not 0.0 <= tau0 < math.inf:
+            raise ValueError(f"fixed delay must be finite and >= 0, got {tau0}")
 
     mean = dist.mean()
     chunks = []
@@ -142,6 +142,10 @@ def sample_forward_recurrence(dist: Distribution, t: float, n: int, rng: np.rand
     Rows go in batches of at most ``_RECURRENCE_ROWS``; each round extends
     the rows still at or below t by one block of partial sums.
     """
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     mean = dist.mean()
     width = int(1.25 * t / mean + 10.0 * math.sqrt(t / mean + 1.0) + 16.0)
     out = np.empty(n)
@@ -165,7 +169,7 @@ def recurrence_times(path: RenewalPath, t: float) -> tuple[float, float]:
     For a delayed path before its first renewal, A_t falls back to the time
     since the origin.
     """
-    if t < 0.0 or t > path.horizon:
+    if not 0.0 <= t <= path.horizon:
         raise ValueError(f"t = {t:g} outside [0, {path.horizon:g}]")
     r = path.renewals()
     idx = int(np.searchsorted(r, t, side="right"))
@@ -173,21 +177,30 @@ def recurrence_times(path: RenewalPath, t: float) -> tuple[float, float]:
     return t - float(last), float(r[idx]) - t
 
 
-def compensator_at(path: RenewalPath, dist: Distribution, t: float) -> float:
+def compensator_at(path: RenewalPath, dist: Distribution, t):
     """Lambda(t) = sum of full-cycle hazard integrals plus the running partial.
 
-    Requires a zero-delayed path (the hazard clock starts at the origin).
+    ``t`` is a scalar (the result is a float) or an array.  One
+    cumulative-hazard call covers the cycles completed by max(t) and the
+    running partial of every t; a cumsum over the cycles and a searchsorted
+    locating each t assemble the sums.  Requires a zero-delayed path (the
+    hazard clock starts at the origin).
     """
     if not path.is_pure:
         raise ValueError("the compensator decomposition assumes a zero-delayed path")
-    if t < 0.0 or t > path.horizon:
-        raise ValueError(f"t = {t:g} outside [0, {path.horizon:g}]")
-    e = path.events
-    k = int(np.searchsorted(e, t, side="right"))
-    renewals = np.concatenate(([0.0], e[:k]))
-    taus = np.diff(renewals)
-    full = float(np.sum(dist.cumulative_hazard(taus))) if taus.size else 0.0
-    return full + float(dist.cumulative_hazard(t - renewals[-1]))
+    ts = np.asarray(t, dtype=float)
+    scalar = ts.ndim == 0
+    inside = 0.0 <= float(ts) <= path.horizon if scalar else np.all((ts >= 0.0) & (ts <= path.horizon))
+    if not inside:
+        raise ValueError(f"t = {t} outside [0, {path.horizon:g}]")
+    k = np.searchsorted(path.events, ts, side="right")
+    cycles = int(k) if scalar else int(k.max(initial=0))
+    renewals = np.concatenate(([0.0], path.events[:cycles]))
+    xi = dist.cumulative_hazard(np.concatenate((np.diff(renewals), np.ravel(ts - renewals[k]))))
+    full = np.zeros(cycles + 1)
+    np.cumsum(xi[:cycles], out=full[1:])
+    out = full[k] + xi[cycles:].reshape(ts.shape)
+    return float(out) if scalar else out
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,12 @@ realizes the common uniform component of the two recurrence laws.  The trial
 count sigma is then geometric with success probability delta^2, and the
 processes share a renewal at the coupling time L_sigma + U.
 
-Recurrence-time draws use direct segment simulation (exact law); the
+The stationary process starts from an exact closed-form draw of its delay.
+Recurrence-time draws use direct segment simulation (exact law); the two
 densities entering the thinning ratio come from the grid quadrature of the
-recurrence-law integral, read off the renewal measure Phi the caller passes.
+recurrence-law integral, read off the renewal measure Phi the caller passes,
+as one fused two-row read (probe times past the verified burn-in lattice
+use the stationary density instead).
 """
 
 from __future__ import annotations
@@ -277,8 +280,11 @@ def simulate_coupling(
         etas.append((eta, eta_hat))
 
         if beta < b and beta_hat < b:
-            p1 = density_at(t1, beta)
-            p2 = density_at(t2, beta_hat)
+            if t1 <= t_stab and t2 <= t_stab:
+                ts, xs = np.array((t1, t2)), np.array((beta, beta_hat))
+                p1, p2 = recurrence_density_at(dist, ts, xs, phi=phi)
+            else:
+                p1, p2 = density_at(t1, beta), density_at(t2, beta_hat)
             ratio = delta * delta * inv_b * inv_b / (p1 * p2)
             if ratio > 1.0 + 1e-9:
                 raise ThinningError(

@@ -130,26 +130,20 @@ class Distribution(ABC):
         ...
 
     def sample_stationary_delay(self, rng: np.random.Generator, size=None):
-        """Draw from the stationary delay law by bisecting its CDF.
+        """Exact draws from the stationary delay law, in closed form.
 
-        Bisection (rather than Newton) is unconditionally safe even where the
-        survival function is flat; roots are located to 1e-10.
+        The stationary delay is U * tau~, with U uniform on (0, 1) and tau~
+        the size-biased interarrival of density x f(x) / mean (Asmussen,
+        Applied Probability and Queues, 2003, Ch. V); each kind draws it
+        with numpy's native samplers.  A float when ``size`` is None, an
+        array otherwise.
         """
-        u = np.atleast_1d(rng.random(size))
-        hi0 = min(self.support_end(), max(1.0, 2.0 * self.mean()))
-        for _ in range(200):
-            if self.stationary_delay_cdf(hi0) >= float(np.max(u)) or hi0 >= self.support_end():
-                break
-            hi0 *= 2.0
-        lo = np.zeros_like(u)
-        hi = np.full_like(u, hi0)
-        while float(np.max(hi - lo)) > 1e-10:
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(self.stationary_delay_cdf(mid)) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if size is None else out
+        out = self._stationary_delay_draw(rng, size)
+        return float(out) if size is None else out
+
+    @abstractmethod
+    def _stationary_delay_draw(self, rng: np.random.Generator, size):
+        ...
 
     # -- config round trip ----------------------------------------------------
 
@@ -197,6 +191,9 @@ class Exponential(Distribution):
     def _stationary_cdf_impl(self, x):
         # memorylessness: the stationary delay law coincides with F
         return self.cdf(x)
+
+    def _stationary_delay_draw(self, rng, size):
+        return rng.exponential(1.0 / self.rate_, size)
 
     def to_config(self) -> dict:
         return {"kind": self.kind, "rate": self.rate_}
@@ -254,6 +251,10 @@ class Gamma(Distribution):
         partial_mean = (self.shape / self.rate_) * gammainc(self.shape + 1.0, self.rate_ * x)
         return self.rate_ / self.shape * (x * (1.0 - gammainc(self.shape, self.rate_ * x)) + partial_mean)
 
+    def _stationary_delay_draw(self, rng, size):
+        # the size-biased Gamma(k, rate) law is Gamma(k + 1, rate)
+        return rng.random(size) * rng.gamma(self.shape + 1.0, 1.0 / self.rate_, size)
+
     def to_config(self) -> dict:
         return {"kind": self.kind, "shape": self.shape, "rate": self.rate_}
 
@@ -309,6 +310,12 @@ class Uniform(Distribution):
         inside = m * (self.lo + (width**2 - np.square(np.maximum(self.hi - x, 0.0))) / (2.0 * width))
         return np.where(x <= self.lo, below, np.where(x >= self.hi, 1.0, inside))
 
+    def _stationary_delay_draw(self, rng, size):
+        # the size-biased law has CDF (x^2 - lo^2) / (hi^2 - lo^2) on [lo, hi]
+        u = rng.random(size)
+        v = rng.random(size)
+        return u * np.sqrt(self.lo**2 + v * (self.hi**2 - self.lo**2))
+
     def to_config(self) -> dict:
         return {"kind": self.kind, "lo": self.lo, "hi": self.hi}
 
@@ -357,6 +364,9 @@ class ShiftedPareto(Distribution):
         # the equilibrium law of a Lomax(r, c) is Lomax(r-1, c)
         x = np.asarray(x, dtype=float)
         return 1.0 - np.power(1.0 + x / self.scale, -(self.tail - 1.0))
+
+    def _stationary_delay_draw(self, rng, size):
+        return self.scale * rng.pareto(self.tail - 1.0, size)
 
     def to_config(self) -> dict:
         return {"kind": self.kind, "tail": self.tail, "scale": self.scale}

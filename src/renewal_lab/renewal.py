@@ -257,15 +257,37 @@ def forward_recurrence_density(
     return GridFunction(x_grid, np.maximum(atom0 * dens + conv, 0.0))
 
 
-def recurrence_density_at(dist: Distribution, t: float, x: float, *, phi: GridMeasure) -> float:
-    """Pointwise density of B_t at an off-grid x (same integral, scalar form)."""
-    kt, w = _recurrence_weights(phi, t)
-    t_snap = kt * phi.grid.step
-    args = t_snap + x - phi.grid.step * np.arange(kt + 1)
-    base = float(dist.density(t_snap + x))
-    if kt == 0:
-        return base
-    return base + float(np.dot(w, np.asarray(dist.density(args), dtype=float)))
+def recurrence_density_at(dist: Distribution, t, x, *, phi: GridMeasure):
+    """Pointwise density of B_t at an off-grid x: the same integral,
+    f(t + x) + int_0^t f(t + x - u) Phi(du), one dot per (t, x) row.
+
+    ``t`` and ``x`` are scalars (the result is a float) or equal-length 1-D
+    arrays (one density per row).  Each t snaps to its nearest node; Phi's
+    atom at 0 is folded into the first trapezoid weight, and the lattices of
+    all rows are read with one ``dist.density`` call.
+    """
+    ts = np.asarray(t, dtype=float)
+    xs = np.asarray(x, dtype=float)
+    scalar = ts.ndim == 0 and xs.ndim == 0
+    if scalar:
+        ts, xs = ts.reshape(1), xs.reshape(1)
+    elif ts.ndim != 1 or ts.shape != xs.shape:
+        raise ValueError(
+            f"t and x must be scalars or equal-length 1-D arrays, got shapes {ts.shape} and {xs.shape}"
+        )
+    if ts.size == 0:
+        return np.empty(0)
+    h = phi.grid.step
+    rows = [_recurrence_weights(phi, t_row) for t_row in ts.tolist()]
+    lattices = [kt * h + x_row - h * np.arange(kt + 1) for (kt, _), x_row in zip(rows, xs.tolist())]
+    values = np.asarray(dist.density(np.concatenate(lattices)), dtype=float)
+    out = np.empty(len(rows))
+    start = 0
+    for row, (kt, w) in enumerate(rows):
+        w[0] += phi.atom0
+        out[row] = np.dot(w, values[start : start + kt + 1])
+        start += kt + 1
+    return float(out[0]) if scalar else out
 
 
 def _lump_tail(density: np.ndarray, tail_mass: float, step: float) -> np.ndarray:

@@ -23,6 +23,16 @@ from renewal_lab.compensator import path_max_statistic
 from renewal_lab.errors import FiniteSupportError
 
 
+def _compensator_direct(path, dist, t):
+    """Lambda(t) with the full-cycle hazards summed afresh for each t: the
+    oracle for the cumsum read of ``compensator_at``."""
+    e = path.events
+    renewals = np.concatenate(([0.0], e[: int(np.searchsorted(e, t, side="right"))]))
+    taus = np.diff(renewals)
+    full = float(np.sum(dist.cumulative_hazard(taus))) if taus.size else 0.0
+    return full + float(dist.cumulative_hazard(t - renewals[-1]))
+
+
 class TestPaths:
     def test_requires_seeded_rng(self):
         with pytest.raises(ValueError):
@@ -159,6 +169,55 @@ class TestCompensator:
         for i in range(1, min(6, len(renewals) - 1)):
             jump = compensator_at(path, dist, renewals[i]) - compensator_at(path, dist, renewals[i - 1])
             assert jump == pytest.approx(xi[i - 1], abs=1e-10)
+
+    def test_matches_per_cycle_sum_oracle(self, dist, rng):
+        # scalar calls and one array call against the per-t summed oracle
+        path = simulate_path(dist, 30.0 * dist.mean(), "zero", rng)
+        ts = np.concatenate((np.linspace(0.0, path.horizon, 97), path.renewals()[1:6]))
+        direct = np.array([_compensator_direct(path, dist, t) for t in ts])
+        scalar = [compensator_at(path, dist, float(t)) for t in ts]
+        assert all(type(v) is float for v in scalar)
+        lam = compensator_at(path, dist, ts)
+        assert isinstance(lam, np.ndarray) and lam.shape == ts.shape
+        for fast in (np.array(scalar), lam):
+            assert np.all(np.abs(fast - direct) <= 1e-12 * np.abs(direct))
+
+    @pytest.mark.parametrize("t", [math.nan, -0.5, 10.5])
+    def test_rejects_t_outside_horizon(self, rng, t):
+        path = simulate_path(Exponential(1.0), 10.0, "zero", rng)
+        with pytest.raises(ValueError, match="t = "):
+            compensator_at(path, Exponential(1.0), t)
+        with pytest.raises(ValueError, match="t = "):
+            compensator_at(path, Exponential(1.0), np.array([1.0, t]))
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_forward_recurrence_rejects_bad_t(self, rng, t):
+        with pytest.raises(ValueError, match="^t must be"):
+            sample_forward_recurrence(Gamma(2.0, 1.0), t, 5, rng)
+
+    def test_forward_recurrence_rejects_negative_n(self, rng):
+        with pytest.raises(ValueError, match="^n must be"):
+            sample_forward_recurrence(Gamma(2.0, 1.0), 1.0, -1, rng)
+
+    def test_forward_recurrence_zero_draws(self, rng):
+        assert sample_forward_recurrence(Gamma(2.0, 1.0), 1.0, 0, rng).shape == (0,)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+    def test_simulate_path_rejects_bad_horizon(self, rng, horizon):
+        with pytest.raises(ValueError, match="^horizon must be"):
+            simulate_path(Exponential(1.0), horizon, "zero", rng)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -1.0])
+    def test_simulate_path_rejects_bad_fixed_delay(self, rng, delay):
+        with pytest.raises(ValueError, match="^fixed delay must be"):
+            simulate_path(Exponential(1.0), 10.0, delay, rng)
+
+    def test_recurrence_times_rejects_nan_t(self, rng):
+        path = simulate_path(Exponential(1.0), 10.0, "zero", rng)
+        with pytest.raises(ValueError, match="t = nan"):
+            recurrence_times(path, math.nan)
 
 
 class TestCycleHazards:

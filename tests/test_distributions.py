@@ -166,6 +166,30 @@ class TestSampling:
         assert res.statistic < 1.36 / math.sqrt(n)
 
 
+def _stationary_delay_bisect(dist, rng, size=None):
+    """Stationary delay draws by bisecting its CDF to 1e-10: the oracle for
+    the closed-form ``sample_stationary_delay``.
+
+    Bisection (rather than Newton) is unconditionally safe even where the
+    survival function is flat.
+    """
+    u = np.atleast_1d(rng.random(size))
+    hi0 = min(dist.support_end(), max(1.0, 2.0 * dist.mean()))
+    for _ in range(200):
+        if dist.stationary_delay_cdf(hi0) >= float(np.max(u)) or hi0 >= dist.support_end():
+            break
+        hi0 *= 2.0
+    lo = np.zeros_like(u)
+    hi = np.full_like(u, hi0)
+    while float(np.max(hi - lo)) > 1e-10:
+        mid = 0.5 * (lo + hi)
+        below = np.asarray(dist.stationary_delay_cdf(mid)) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out = 0.5 * (lo + hi)
+    return float(out[0]) if size is None else out
+
+
 class TestStationaryDelay:
     def test_exponential_is_fixed_point(self):
         d = Exponential(0.7)
@@ -223,10 +247,20 @@ class TestStationaryDelay:
                 return self.u
 
         for u in [0.05, 0.31, 0.5, 0.77, 0.99]:
-            x = dist.sample_stationary_delay(FixedRng(u))
+            x = _stationary_delay_bisect(dist, FixedRng(u))
             # x is within the 1e-10 bisection bracket of the true quantile
             assert dist.stationary_delay_cdf(x + 1e-9) >= u - 1e-7
             assert dist.stationary_delay_cdf(max(x - 1e-9, 0.0)) <= u + 1e-7
+
+    def test_closed_form_draw_matches_stationary_cdf(self, dist):
+        n = 200_000
+        rng = np.random.default_rng(20260809)
+        assert type(dist.sample_stationary_delay(rng)) is float
+        draws = dist.sample_stationary_delay(rng, n)
+        assert draws.shape == (n,)
+        res = stats.kstest(draws, lambda v: np.asarray(dist.stationary_delay_cdf(v)))
+        # 1% level of the KS statistic
+        assert res.statistic < 1.63 / math.sqrt(n)
 
     def test_all_kinds_listed(self):
         assert {d.kind for d in ALL_KINDS} == {"exponential", "gamma", "uniform", "shifted-pareto"}

@@ -33,6 +33,7 @@ from renewal_lab.renewal import (
     _direct_is_cheaper,
     default_grid,
     default_recurrence_grid,
+    recurrence_density_at,
     volterra_renewal_density,
 )
 
@@ -160,6 +161,71 @@ class TestRecurrenceMiddleProduct:
         t = 10.0 * dist.mean()
         first = _READS[route](dist, t, x_grid, phi=phi).values
         assert np.array_equal(first, _READS[route](dist, t, x_grid, phi=phi).values)
+
+
+def _recurrence_density_at_direct(dist, t, x, phi):
+    """Scalar density of B_t at an off-grid x, f(t + x) plus one dot with the
+    trapezoid weights of Phi's density: the oracle for the fused read."""
+    h = phi.grid.step
+    kt = phi.grid.index_of(t)
+    w = phi.density[: kt + 1] * h
+    if kt >= 1:
+        w[0] *= 0.5
+        w[-1] *= 0.5
+    else:
+        w[:] = 0.0
+    t_snap = kt * h
+    base = float(dist.density(t_snap + x))
+    if kt == 0:
+        return base
+    return base + float(np.dot(w, np.asarray(dist.density(t_snap + x - h * np.arange(kt + 1)), dtype=float)))
+
+
+class TestRecurrenceDensityAt:
+    """Pointwise reads at t = 0, one step and off-node times up to
+    0.5 + 20 means (the probe chain's burn-in lattice), x inside (0, mean)."""
+
+    T_MEANS = (0.0, "step", 0.37, 3.1416, 11.27, 20.5)
+    X_MEANS = (0.013, 0.41, 0.97)
+
+    @pytest.fixture
+    def phi(self, dist):
+        return _default_phi(dist)
+
+    def points(self, dist, phi):
+        h = phi.grid.step
+        ts = [h if m == "step" else m * dist.mean() + (0.37 * h if m else 0.0) for m in self.T_MEANS]
+        return [(t, xm * dist.mean()) for t in ts for xm in self.X_MEANS]
+
+    def test_scalar_matches_direct(self, dist, phi):
+        for t, x in self.points(dist, phi):
+            fast = recurrence_density_at(dist, t, x, phi=phi)
+            assert type(fast) is float
+            direct = _recurrence_density_at_direct(dist, t, x, phi)
+            assert abs(fast - direct) <= 1e-12 * abs(direct)
+
+    def test_array_matches_direct_and_scalar_calls(self, dist, phi):
+        ts, xs = map(np.array, zip(*self.points(dist, phi)))
+        fast = recurrence_density_at(dist, ts, xs, phi=phi)
+        assert fast.shape == ts.shape
+        direct = np.array([_recurrence_density_at_direct(dist, t, x, phi) for t, x in zip(ts, xs)])
+        assert np.all(np.abs(fast - direct) <= 1e-12 * np.abs(direct))
+        np.testing.assert_array_equal(
+            fast, [recurrence_density_at(dist, t, x, phi=phi) for t, x in zip(ts, xs)]
+        )
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_short_arrays_stay_arrays(self, dist, phi, rows):
+        out = recurrence_density_at(dist, np.full(rows, dist.mean()), np.full(rows, 0.5), phi=phi)
+        assert isinstance(out, np.ndarray) and out.shape == (rows,)
+
+    def test_rejects_mismatched_rows(self, dist, phi):
+        with pytest.raises(ValueError, match="equal-length"):
+            recurrence_density_at(dist, np.array([1.0, 2.0]), np.array([0.5]), phi=phi)
+
+    def test_horizon_exceeded(self, dist, phi):
+        with pytest.raises(HorizonExceededError):
+            recurrence_density_at(dist, np.array([1.0, 2.0 * phi.grid.horizon]), np.array([0.5, 0.5]), phi=phi)
 
 
 class TestRenewalMeasure:
