@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, Exponential, Gamma, ShiftedPareto, Uniform
+from .distributions import Distribution
 from .errors import FiniteSupportError
 
 __all__ = [
@@ -38,15 +38,7 @@ def draw_interarrivals(dist: Distribution, size, rng: np.random.Generator) -> np
     Deliberately independent of the inverse-CDF ``Distribution.sample`` so
     Monte Carlo checks exercise a second code path.
     """
-    if isinstance(dist, Exponential):
-        return rng.exponential(1.0 / dist.rate_, size)
-    if isinstance(dist, Gamma):
-        return rng.gamma(dist.shape, 1.0 / dist.rate_, size)
-    if isinstance(dist, Uniform):
-        return rng.uniform(dist.lo, dist.hi, size)
-    if isinstance(dist, ShiftedPareto):
-        return dist.scale * rng.pareto(dist.tail, size)
-    return dist.sample(rng, size)
+    return dist._interarrival_draw(rng, size)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ The stationary process starts from an exact closed-form draw of its delay.
 Recurrence-time draws use direct segment simulation (exact law); the two
 densities entering the thinning ratio come from the grid quadrature of the
 recurrence-law integral, read off the renewal measure Phi the caller passes,
-as one fused two-row read (probe times past the verified burn-in lattice
-use the stationary density instead).
+as one read of the rows within the verified burn-in lattice (probe times
+past it use the stationary density instead).
 """
 
 from __future__ import annotations
@@ -113,6 +113,13 @@ class CouplingParams:
     delta: float
 
 
+# burn-in lattice of find_common_component: first probe time and spacing, in means
+_D0 = 0.5
+_LATTICE_STEP = 0.5
+# probe-chain trials before simulate_coupling gives up
+_MAX_STEPS = 10_000
+
+
 def _lattice_densities(dist, phi, t_points, x_grid: Grid) -> np.ndarray:
     rows = []
     for t in t_points:
@@ -120,13 +127,7 @@ def _lattice_densities(dist, phi, t_points, x_grid: Grid) -> np.ndarray:
     return np.asarray(rows)
 
 
-def find_common_component(
-    dist: Distribution,
-    *,
-    phi: GridMeasure,
-    d0: float | None = None,
-    lattice_step: float | None = None,
-) -> CouplingParams:
+def find_common_component(dist: Distribution, *, phi: GridMeasure) -> CouplingParams:
     """Numerically locate (b, d, delta) for the common uniform component.
 
     The recurrence density is evaluated on a burn-in lattice up to
@@ -139,8 +140,7 @@ def find_common_component(
     """
     mean = dist.mean()
     h = phi.grid.step
-    d0 = 0.5 * mean if d0 is None else d0
-    step = 0.5 * mean if lattice_step is None else lattice_step
+    d0, step = _D0 * mean, _LATTICE_STEP * mean
     t_points = [d0 + j * step for j in range(41)]  # t_max = d0 + 20 * mean
 
     b_candidates = [0.25 * mean, 0.5 * mean, 1.0 * mean]
@@ -223,12 +223,6 @@ class CouplingTrace:
         """Probe times L_k = max(eta_k, eta_hat_k) + d."""
         return np.max(self.eta, axis=1) + self.params.d
 
-    def partial_time(self, n: int) -> float:
-        """T_n = eta_hat_0 + d + sum_{i<=n} (beta_i v beta_hat_i + d) + U."""
-        if n >= len(self.indicators):
-            raise ValueError(f"n = {n} beyond the recorded chain")
-        return float(self.l_values()[n]) + self.final_uniform
-
 
 def _draw_recurrence_direct(dist: Distribution, t: float, rng: np.random.Generator) -> float:
     """One exact draw of B_t by simulating partial sums until they pass t."""
@@ -249,7 +243,6 @@ def simulate_coupling(
     rng: np.random.Generator,
     *,
     phi: GridMeasure,
-    max_steps: int = 10_000,
 ) -> CouplingTrace:
     """Run the probe chain until the thinning accepts, then couple.
 
@@ -265,14 +258,9 @@ def simulate_coupling(
     # very large gaps fall back to it instead of outgrowing the grid horizon
     t_stab = min(params.d + 20.0 * dist.mean(), phi.grid.horizon)
 
-    def density_at(t: float, x: float) -> float:
-        if t > t_stab:
-            return float(dist.stationary_delay_density(x))
-        return recurrence_density_at(dist, t, x, phi=phi)
-
     eta, eta_hat = 0.0, dist.sample_stationary_delay(rng)
     etas, betas, indicators = [], [], []
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         L = max(eta, eta_hat) + d
         t1, t2 = L - eta, L - eta_hat
         beta = _draw_recurrence_direct(dist, t1, rng)
@@ -280,12 +268,13 @@ def simulate_coupling(
         etas.append((eta, eta_hat))
 
         if beta < b and beta_hat < b:
-            if t1 <= t_stab and t2 <= t_stab:
-                ts, xs = np.array((t1, t2)), np.array((beta, beta_hat))
-                p1, p2 = recurrence_density_at(dist, ts, xs, phi=phi)
-            else:
-                p1, p2 = density_at(t1, beta), density_at(t2, beta_hat)
-            ratio = delta * delta * inv_b * inv_b / (p1 * p2)
+            ts, xs = np.array((t1, t2)), np.array((beta, beta_hat))
+            near = ts <= t_stab
+            p = np.empty(2)
+            p[near] = recurrence_density_at(dist, ts[near], xs[near], phi=phi)
+            if not near.all():
+                p[~near] = dist.stationary_delay_density(xs[~near])
+            ratio = delta * delta * inv_b * inv_b / (p[0] * p[1])
             if ratio > 1.0 + 1e-9:
                 raise ThinningError(
                     f"acceptance probability {ratio:g} > 1 at (t1={t1:g}, t2={t2:g}); "
@@ -314,7 +303,7 @@ def simulate_coupling(
         indicators.append(0)
         eta, eta_hat = L + beta, L + beta_hat
     raise RuntimeError(
-        f"no coupling within {max_steps} trials (probability ~ (1-delta^2)^{max_steps}); "
+        f"no coupling within {_MAX_STEPS} trials (probability ~ (1-delta^2)^{_MAX_STEPS}); "
         "the component parameters are inconsistent"
     )
 

@@ -110,6 +110,10 @@ class Distribution(ABC):
         u = rng.random(size)
         return self.quantile(u)
 
+    @abstractmethod
+    def _interarrival_draw(self, rng: np.random.Generator, size):
+        """Draws from numpy's native sampler for the kind (not inverse-CDF)."""
+
     # -- stationary delay ----------------------------------------------------
 
     def stationary_delay_density(self, x):
@@ -192,6 +196,9 @@ class Exponential(Distribution):
         # memorylessness: the stationary delay law coincides with F
         return self.cdf(x)
 
+    def _interarrival_draw(self, rng, size):
+        return rng.exponential(1.0 / self.rate_, size)
+
     def _stationary_delay_draw(self, rng, size):
         return rng.exponential(1.0 / self.rate_, size)
 
@@ -250,6 +257,9 @@ class Gamma(Distribution):
         x = np.asarray(x, dtype=float)
         partial_mean = (self.shape / self.rate_) * gammainc(self.shape + 1.0, self.rate_ * x)
         return self.rate_ / self.shape * (x * (1.0 - gammainc(self.shape, self.rate_ * x)) + partial_mean)
+
+    def _interarrival_draw(self, rng, size):
+        return rng.gamma(self.shape, 1.0 / self.rate_, size)
 
     def _stationary_delay_draw(self, rng, size):
         # the size-biased Gamma(k, rate) law is Gamma(k + 1, rate)
@@ -310,6 +320,9 @@ class Uniform(Distribution):
         inside = m * (self.lo + (width**2 - np.square(np.maximum(self.hi - x, 0.0))) / (2.0 * width))
         return np.where(x <= self.lo, below, np.where(x >= self.hi, 1.0, inside))
 
+    def _interarrival_draw(self, rng, size):
+        return rng.uniform(self.lo, self.hi, size)
+
     def _stationary_delay_draw(self, rng, size):
         # the size-biased law has CDF (x^2 - lo^2) / (hi^2 - lo^2) on [lo, hi]
         u = rng.random(size)
@@ -365,6 +378,9 @@ class ShiftedPareto(Distribution):
         x = np.asarray(x, dtype=float)
         return 1.0 - np.power(1.0 + x / self.scale, -(self.tail - 1.0))
 
+    def _interarrival_draw(self, rng, size):
+        return self.scale * rng.pareto(self.tail, size)
+
     def _stationary_delay_draw(self, rng, size):
         return self.scale * rng.pareto(self.tail - 1.0, size)
 
@@ -380,25 +396,25 @@ _REQUIRED_FIELDS = {
 }
 
 
-def distribution_from_config(cfg: dict, field_path: str = "distribution") -> Distribution:
+def distribution_from_config(cfg: dict) -> Distribution:
     """Build a distribution from its JSON form, e.g. {"kind": "gamma", "shape": 2, "rate": 1}."""
     if not isinstance(cfg, dict):
-        raise ConfigError(field_path, "expected an object")
+        raise ConfigError("distribution", "expected an object")
     kind = cfg.get("kind")
     if kind not in _REQUIRED_FIELDS:
-        raise ConfigError(f"{field_path}.kind", f"unknown kind {kind!r}; expected one of {sorted(_REQUIRED_FIELDS)}")
+        raise ConfigError("distribution.kind", f"unknown kind {kind!r}; expected one of {sorted(_REQUIRED_FIELDS)}")
     fields = _REQUIRED_FIELDS[kind]
     extra = set(cfg) - {"kind", *fields}
     if extra:
-        raise ConfigError(field_path, f"unexpected fields {sorted(extra)} for kind {kind!r}")
+        raise ConfigError("distribution", f"unexpected fields {sorted(extra)} for kind {kind!r}")
     values = []
     for name in fields:
         if name not in cfg:
-            raise ConfigError(f"{field_path}.{name}", f"required for kind {kind!r}")
+            raise ConfigError(f"distribution.{name}", f"required for kind {kind!r}")
         try:
             values.append(float(cfg[name]))
         except (TypeError, ValueError):
-            raise ConfigError(f"{field_path}.{name}", f"expected a number, got {cfg[name]!r}") from None
+            raise ConfigError(f"distribution.{name}", f"expected a number, got {cfg[name]!r}") from None
     try:
         if kind == "exponential":
             return Exponential(*values)
@@ -408,4 +424,4 @@ def distribution_from_config(cfg: dict, field_path: str = "distribution") -> Dis
             return Uniform(*values)
         return ShiftedPareto(*values)
     except ValueError as exc:
-        raise ConfigError(field_path, str(exc)) from None
+        raise ConfigError("distribution", str(exc)) from None

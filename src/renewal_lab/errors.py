@@ -26,7 +26,7 @@ class HorizonExceededError(RenewalLabError):
 
 
 class NoComponentFoundError(RenewalLabError):
-    """No uniform component of usable mass was found up to n_max."""
+    """No uniform component of usable mass was found in the scanned powers."""
 
 
 class NegativeComponentError(RenewalLabError):

@@ -7,13 +7,11 @@ term, which is unconditionally stable for subprobability kernels and O(h^2)
 accurate.  The discrete equation is a lower-triangular Toeplitz system; it
 is solved by relaxed (online) convolution in O(n log^2 n): dense 64-node
 blocks, with the effect of each solved stretch on the next pushed forward
-by one FFT middle product (Hairer, Lubich & Schlichte 1985; van der Hoeven
+by one cyclic FFT product (Hairer, Lubich & Schlichte 1985; van der Hoeven
 2002).  The forward recurrence law at time t is evaluated from the identity
 P(B_t <= x) = int_0^t F((t-u, t+x-u]) Phi(du), and its density the same way
-with f: on the X + 1 x-nodes each is one middle product of the trapezoid
-weights of Phi on [0, t] with F or f on the lattice, computing only the
-outputs kept (Hanrot, Quercia & Zimmermann 2004), summed directly for small
-reads and by one power-of-two FFT for large ones.
+with f: on the X + 1 x-nodes each is one ``grids._middle_product`` of the
+trapezoid weights of Phi on [0, t] with F or f on the lattice.
 """
 
 from __future__ import annotations
@@ -30,6 +28,8 @@ from .grids import (
     Grid,
     GridFunction,
     GridMeasure,
+    _direct_is_cheaper,
+    _middle_product,
     convolve_measure_function,
     measure_from_distribution,
     tv_distance,
@@ -50,12 +50,10 @@ __all__ = [
 ]
 
 
-def default_grid(dist: Distribution, points_per_mean: int = 200, horizon_means: float = 100.0) -> Grid:
+def default_grid(dist: Distribution, horizon_means: float = 100.0) -> Grid:
     """h = mean/200, horizon = 100 * mean: resolves the density scale and
     reaches the asymptotic regime of the rate experiments."""
-    mean = dist.mean()
-    step = mean / points_per_mean
-    return Grid(step, int(round(points_per_mean * horizon_means)))
+    return Grid(dist.mean() / 200, int(round(200 * horizon_means)))
 
 
 def default_recurrence_grid(dist: Distribution, step: float) -> Grid:
@@ -70,15 +68,6 @@ def default_recurrence_grid(dist: Distribution, step: float) -> Grid:
 
 # nodes solved together by one dense triangular solve
 _BLOCK = 64
-# a middle product is summed directly while its multiply-adds stay within
-# _CROSSOVER N log2 N, N the power-of-two length its FFT would take
-_CROSSOVER = 16
-
-
-def _direct_is_cheaper(taps: int, outputs: int, size: int) -> bool:
-    """Whether ``outputs`` middle-product outputs over ``taps`` weights are
-    cheaper summed directly than by one cyclic product of length ``size``."""
-    return taps * outputs <= _CROSSOVER * size * (size.bit_length() - 1)
 
 
 def volterra_renewal_density(kernel: np.ndarray, rhs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -133,11 +122,10 @@ def volterra_renewal_density(kernel: np.ndarray, rhs: np.ndarray, grid: Grid) ->
     return x
 
 
-def renewal_measure(dist: Distribution, grid: Grid, kernel: GridMeasure | None = None) -> GridMeasure:
+def renewal_measure(dist: Distribution, grid: Grid) -> GridMeasure:
     """Renewal measure Phi = sum of convolution powers of F, as atom 1 at 0
     plus a density, solved from Phi = delta_0 + F * Phi."""
-    if kernel is None:
-        kernel = measure_from_distribution(dist, grid)
+    kernel = measure_from_distribution(dist, grid)
     density = volterra_renewal_density(kernel.density, kernel.density, grid)
     return GridMeasure(grid, 1.0, np.maximum(density, 0.0))
 
@@ -197,22 +185,6 @@ def _check_steps_match(x_grid: Grid, phi: GridMeasure) -> None:
         raise IncompatibleGridsError(
             f"x-grid step {x_grid.step!r} must match the time grid step {phi.grid.step!r}"
         )
-
-
-def _middle_product(w: np.ndarray, vals: np.ndarray, count: int) -> np.ndarray:
-    """out[j] = sum_i w[i] vals[kt + j - i] for j = 0..count, kt = len(w) - 1.
-
-    These are the count + 1 outputs of np.convolve(w, vals) that a read at
-    node kt keeps (Hanrot, Quercia & Zimmermann 2004).  They are summed
-    directly or, where ``_direct_is_cheaper`` says the FFT wins, taken from
-    one power-of-two cyclic product of length >= kt + count + 1, whose
-    wrap-around stays below index kt.
-    """
-    kt = len(w) - 1
-    size = 1 << (kt + count).bit_length()
-    if _direct_is_cheaper(kt + 1, count + 1, size):
-        return np.convolve(vals, w, mode="valid")
-    return np.fft.irfft(np.fft.rfft(vals, size) * np.fft.rfft(w, size), size)[kt : kt + count + 1]
 
 
 def _recurrence_read(

@@ -34,6 +34,8 @@ _A_LATTICE = [0.1 * j for j in range(41)]
 _B_LATTICE = [0.25, 0.5, 1.0]
 _SAFETY = 0.9
 _MIN_MASS = 0.05
+# highest convolution power scanned for a component
+_N_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -83,28 +85,31 @@ def _scan_windows(density: np.ndarray, grid: Grid, mean: float) -> tuple[float, 
     return best
 
 
-def find_uniform_component(dist: Distribution, grid: Grid, n_max: int = 6) -> UniformComponent:
-    """First convolution power with a uniform component of mass >= 0.05.
-
-    The 0.9 safety factor on b * (minimum density over the window) keeps the
-    component strictly below the power's density despite grid interpolation.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+def _first_component(dist: Distribution, grid: Grid) -> tuple[UniformComponent, GridMeasure, GridMeasure]:
+    """The first component found, with the kernel F and the power F^{*n0} it sits in."""
     kernel = measure_from_distribution(dist, grid)
     power = kernel
     mean = dist.mean()
-    for n in range(1, n_max + 1):
+    for n in range(1, _N_MAX + 1):
         if n > 1:
             power = convolve_measures(power, kernel)
         best = _scan_windows(power.density, grid, mean)
         if best is not None and best[2] >= _MIN_MASS:
             a, b, mass = best
-            return UniformComponent(n, a, b, mass)
+            return UniformComponent(n, a, b, mass), kernel, power
     raise NoComponentFoundError(
-        f"no uniform component of mass >= {_MIN_MASS} in powers 1..{n_max}; "
+        f"no uniform component of mass >= {_MIN_MASS} in powers 1..{_N_MAX}; "
         "the grid is likely too coarse for the density scale"
     )
+
+
+def find_uniform_component(dist: Distribution, grid: Grid) -> UniformComponent:
+    """First convolution power with a uniform component of mass >= 0.05.
+
+    The 0.9 safety factor on b * (minimum density over the window) keeps the
+    component strictly below the power's density despite grid interpolation.
+    """
+    return _first_component(dist, grid)[0]
 
 
 @dataclass(frozen=True)
@@ -120,13 +125,7 @@ class StoneDecomposition:
     truncation_bound: float
 
 
-def stone_decompose(
-    dist: Distribution,
-    grid: Grid,
-    *,
-    component: UniformComponent | None = None,
-    n_max: int = 6,
-) -> StoneDecomposition:
+def stone_decompose(dist: Distribution, grid: Grid) -> StoneDecomposition:
     """Decompose the renewal measure from a detected uniform component.
 
     phi1 is defined by subtraction (so reconstruction is exact on the grid)
@@ -134,13 +133,7 @@ def stone_decompose(
     Phi0^(2) * (Phi * g0); the sup relative deviation of the two routes is
     reported on the result.
     """
-    if component is None:
-        component = find_uniform_component(dist, grid, n_max=n_max)
-    kernel = measure_from_distribution(dist, grid)
-    power = kernel
-    for _ in range(component.n0 - 1):
-        power = convolve_measures(power, kernel)
-
+    component, kernel, power = _first_component(dist, grid)
     g0 = component.grid_density(grid)
     h_density = power.density - g0
     worst = float(np.min(h_density))
@@ -153,14 +146,12 @@ def stone_decompose(
     # Phi0^(2) = sum of convolution powers of H, via one Volterra pass
     phi0_2 = GridMeasure(grid, 1.0, np.maximum(volterra_renewal_density(h_density, h_density, grid), 0.0))
 
-    phi2 = phi0_2
-    if component.n0 > 1:
-        term = phi0_2
-        for _ in range(component.n0 - 1):
-            term = convolve_measures(term, kernel)
-            phi2 = GridMeasure(grid, phi2.atom0 + term.atom0, phi2.density + term.density)
+    phi2 = term = phi0_2
+    for _ in range(component.n0 - 1):
+        term = convolve_measures(term, kernel)
+        phi2 = GridMeasure(grid, phi2.atom0 + term.atom0, phi2.density + term.density)
 
-    phi = renewal_measure(dist, grid, kernel=kernel)
+    phi = renewal_measure(dist, grid)
     phi1 = GridFunction(grid, phi.density - phi2.density)
 
     alt = convolve_measure_function(phi0_2, convolve_measure_function(phi, GridFunction(grid, g0)))

@@ -16,7 +16,17 @@ from renewal_lab import (
     tv_distance,
 )
 from renewal_lab.errors import IncompatibleGridsError, NotNormalizedError
-from renewal_lab.grids import convolve_measure_function_at, sample_from_measure
+from renewal_lab.grids import _convolve_densities, convolve_measure_function_at, inverse_cdf
+
+
+def _convolve_densities_direct(a, b, step):
+    """Oracle: the trapezoidal product summed directly by np.convolve."""
+    n = a.shape[0]
+    full = np.convolve(a, b)[:n]
+    full -= 0.5 * (a[0] * b[:n] + b[0] * a[:n])
+    full *= step
+    full[0] = 0.0
+    return full
 
 
 def bump_measure(grid, center, width, mass=1.0):
@@ -153,6 +163,29 @@ class TestConvolution:
         e2 = np.max(np.abs(outs[2] - outs[8]))
         assert 3.0 < e1 / e2 < 6.0
 
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 500, 3000])
+    def test_matches_direct_sum(self, dist, n):
+        # n = 2..65 are summed directly, n = 1 (a length-1 cyclic product) and
+        # n >= 500 by FFT; kernel with kernel and kernel with CDF, as the
+        # measure and residual products pair them
+        grid = Grid(20.0 * dist.mean() / max(n - 1, 1), max(n - 1, 1))
+        kernel = measure_from_distribution(dist, grid).density[:n]
+        cdf = np.asarray(dist.cdf(grid.nodes()), dtype=float)[:n]
+        for a, b in ((kernel, kernel), (kernel, cdf)):
+            out = _convolve_densities(a, b, grid.step)
+            direct = _convolve_densities_direct(a, b, grid.step)
+            assert out.shape == direct.shape == (n,)
+            assert np.max(np.abs(out - direct)) <= 1e-12 * max(np.max(np.abs(direct)), 1e-300)
+
+    def test_self_convolution_clips_rounding_only(self, dist):
+        # convolve_measures clips the negatives of FFT round-off where the
+        # exact F * F is 0; they carry at most 1e-14 of mass
+        grid = Grid(dist.mean() / 200.0, 200 * 30)
+        f = measure_from_distribution(dist, grid)
+        raw = _convolve_densities(f.density, f.density, grid.step)
+        clipped = float(np.trapezoid(convolve_measures(f, f).density - raw, dx=grid.step))
+        assert clipped <= 1e-14
+
     def test_node_evaluation_matches_full_convolution(self):
         grid = Grid(0.02, 400)
         mu = GridMeasure(grid, 0.15, bump_measure(grid, 1.2, 0.8, 0.7).density)
@@ -252,7 +285,7 @@ class TestDistributionMeasures:
     def test_sampling_from_measure(self, rng):
         grid = Grid(0.005, 3000)
         m = measure_from_distribution(Exponential(1.0), grid)
-        draws = sample_from_measure(m, rng, 20000)
+        draws = inverse_cdf(m, rng.random(20000), m.total_mass())
         from scipy import stats
 
         res = stats.kstest(draws, lambda v: np.asarray(Exponential(1.0).cdf(v)))

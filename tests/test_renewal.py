@@ -29,8 +29,8 @@ from renewal_lab import (
 )
 from renewal_lab.compensator import sample_forward_recurrence
 from renewal_lab.errors import HorizonExceededError, StepTooCoarseError
+from renewal_lab.grids import _direct_is_cheaper
 from renewal_lab.renewal import (
-    _direct_is_cheaper,
     default_grid,
     default_recurrence_grid,
     recurrence_density_at,

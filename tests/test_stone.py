@@ -12,9 +12,10 @@ from renewal_lab import (
     phi2_tail,
     stone_decompose,
 )
+from renewal_lab import stone
 from renewal_lab.errors import NegativeComponentError
 from renewal_lab.grids import measure_from_distribution
-from renewal_lab.stone import UniformComponent, _scan_windows
+from renewal_lab.stone import _scan_windows
 
 
 def grid_for(dist, horizon_means=60.0, points_per_mean=200):
@@ -58,10 +59,6 @@ class TestFindComponent:
     def test_no_component_on_degenerate_density(self):
         grid = Grid(0.01, 1000)
         assert _scan_windows(np.zeros(grid.n_nodes), grid, 1.0) is None
-
-    def test_n_max_validation(self, dist):
-        with pytest.raises(ValueError):
-            find_uniform_component(dist, grid_for(dist, 10.0), n_max=0)
 
     def test_grid_density_mass_is_exact(self, dist):
         grid = grid_for(dist, 30.0)
@@ -120,12 +117,13 @@ class TestDecomposition:
         bound = c.level * dec.phi.interval_mass(-1.0, c.b) * dec.phi0_2.total_mass()
         assert float(np.max(dec.phi1.values)) <= bound * (1.0 + 1e-6) + 1e-9
 
-    def test_inconsistent_component_rejected(self):
+    def test_inconsistent_component_rejected(self, monkeypatch):
         d = Gamma(2.0, 1.0)
         grid = grid_for(d, 30.0)
-        bogus = UniformComponent(n0=1, a=0.4, b=2.0, mass=1.5)  # level above the density
+        # a window whose level (0.75) sits above the density
+        monkeypatch.setattr(stone, "_scan_windows", lambda density, grid, mean: (0.4, 2.0, 1.5))
         with pytest.raises(NegativeComponentError):
-            stone_decompose(d, grid, component=bogus)
+            stone_decompose(d, grid)
 
 
 class TestPhi2Tail:
