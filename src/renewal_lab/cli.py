@@ -36,7 +36,7 @@ from .acceptance import (
 from .asymptotics import krt_error_curve
 from .compensator import rootzen_uniform_error, simulate_path
 from .coupling import find_common_component, simulate_coupling
-from .distributions import distribution_from_config
+from .distributions import _config_number, distribution_from_config
 from .errors import ConfigError, RenewalLabError
 from .grids import Grid, GridFunction
 from .renewal import (
@@ -90,14 +90,28 @@ def _resolve_grid(cfg: dict, dist) -> Grid:
         return default_grid(dist)
     if not isinstance(spec, dict) or not {"h", "horizon"} <= set(spec):
         raise ConfigError("grid", 'expected {"h": step, "horizon": T}')
-    try:
-        h = float(spec["h"])
-        horizon = float(spec["horizon"])
-    except (TypeError, ValueError):
-        raise ConfigError("grid", "h and horizon must be numbers") from None
+    h = _config_number("grid.h", spec["h"])
+    horizon = _config_number("grid.horizon", spec["horizon"])
     if h <= 0 or horizon <= h:
         raise ConfigError("grid", f"need 0 < h < horizon, got h={h}, horizon={horizon}")
     return Grid.from_horizon(horizon, h)
+
+
+def _read(cfg: dict, field: str, default):
+    """Config field ``field`` (``default`` when absent), of the default's
+    kind: an integer >= 1 for an int default, a list of finite numbers for a
+    list default, and otherwise a finite number.  Anything else raises
+    ``ConfigError`` naming the field."""
+    value = cfg.get(field, default)
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(field, f"expected a list of finite numbers, got {value!r}")
+        return [_config_number(field, v) for v in value]
+    if isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(field, f"expected an integer >= 1, got {value!r}")
+        return value
+    return _config_number(field, value)
 
 
 def _task_rng(seed: int, index: int) -> np.random.Generator:
@@ -199,11 +213,11 @@ def solve(config_path, out_dir, strict):
         if kind == "linear":
             forcing = linear_forcing(dist, grid)
         elif kind == "power":
-            r = float(forcing_cfg.get("exponent", 2.0))
+            r = _config_number("forcing.exponent", forcing_cfg.get("exponent", 2.0))
             forcing = GridFunction.from_callable(grid, lambda x: (1.0 + x) ** (-r))
         elif kind == "indicator":
-            lo = float(forcing_cfg.get("lo", 0.0))
-            hi = float(forcing_cfg.get("hi", 1.0))
+            lo = _config_number("forcing.lo", forcing_cfg.get("lo", 0.0))
+            hi = _config_number("forcing.hi", forcing_cfg.get("hi", 1.0))
             forcing = GridFunction.from_callable(
                 grid, lambda x: ((x >= lo) & (x <= hi)).astype(float)
             )
@@ -298,7 +312,7 @@ def bt(config_path, out_dir, strict):
     def body(runner: Runner, cfg: dict):
         dist = distribution_from_config(cfg.get("distribution", {}))
         grid = _resolve_grid(cfg, dist)
-        ts = [float(t) for t in cfg.get("ts", [2.0 * dist.mean(), 10.0 * dist.mean()])]
+        ts = _read(cfg, "ts", [2.0 * dist.mean(), 10.0 * dist.mean()])
         measure = renewal_measure(dist, grid)
         x_grid = default_recurrence_grid(dist, grid.step)
         rows = []
@@ -329,7 +343,7 @@ def couple(config_path, out_dir, strict):
     def body(runner: Runner, cfg: dict):
         dist = distribution_from_config(cfg.get("distribution", {}))
         grid = _resolve_grid(cfg, dist)
-        n_traces = int(cfg.get("n_traces", 2000))
+        n_traces = _read(cfg, "n_traces", 2000)
         measure = renewal_measure(dist, grid)
         params = find_common_component(dist, phi=measure)
         traces = [
@@ -370,7 +384,7 @@ def couple(config_path, out_dir, strict):
                 f"|p - delta^2| <= {band:g}",
             )
         )
-        ts = [float(v) for v in cfg.get("t_checks", [5.0 * dist.mean()])]
+        ts = _read(cfg, "t_checks", [5.0 * dist.mean()])
         # the tail estimate behind the inequality needs >= 1000 traces
         if ts and n_traces >= 1000:
             runner.check(check_coupling_inequality(dist, traces, measure, ts))
@@ -385,8 +399,11 @@ def compensator(config_path, out_dir, strict):
 
     def body(runner: Runner, cfg: dict):
         dist = distribution_from_config(cfg.get("distribution", {}))
-        n_paths = int(cfg.get("n_paths", 2000))
-        mults = [float(m) for m in cfg.get("t_means", [5.0, 20.0])]
+        n_paths = _read(cfg, "n_paths", 2000)
+        mults = _read(cfg, "t_means", [5.0, 20.0])
+        # the paths run to the last time, so there must be one and all be > 0
+        if not mults or min(mults) <= 0.0:
+            raise ConfigError("t_means", f"expected one or more positive multiples of the mean, got {mults}")
         horizon = max(mults) * dist.mean()
         paths = [simulate_path(dist, horizon, "zero", _task_rng(runner.seed, i)) for i in range(n_paths)]
         if cfg.get("dump_paths", False):
@@ -416,19 +433,19 @@ def krt(config_path, out_dir, strict):
     def body(runner: Runner, cfg: dict):
         dist = distribution_from_config(cfg.get("distribution", {}))
         grid = _resolve_grid(cfg, dist)
-        r_z = float(cfg.get("z_exponent", 2.0))
-        q = float(cfg.get("q", 2.0))
+        r_z = _read(cfg, "z_exponent", 2.0)
+        q = _read(cfg, "q", 2.0)
         mean = dist.mean()
-        lo = float(cfg.get("window_lo_means", 20.0)) * mean
-        hi = float(cfg.get("window_hi_means", 80.0)) * mean
+        lo = _read(cfg, "window_lo_means", 20.0) * mean
+        hi = _read(cfg, "window_hi_means", 80.0) * mean
         if hi >= grid.horizon:
             raise ConfigError("grid.horizon", f"must exceed the fit window end {hi:g}")
-        xs = np.geomspace(lo, hi, int(cfg.get("n_points", 24)))
+        xs = np.geomspace(lo, hi, _read(cfg, "n_points", 24))
         measure = renewal_measure(dist, grid)
         z_fn = lambda y: (1.0 + np.asarray(y)) ** (-r_z)
         curve = krt_error_curve(dist, z_fn, r_z, xs, grid=grid, phi=measure)
         _write_rows(runner.artifact("krt_curve.csv"), "x,err", zip(curve.xs, curve.errs))
-        fit = krt_fit(curve, (lo, hi), float(cfg.get("floor", 0.0)))
+        fit = krt_fit(curve, (lo, hi), _read(cfg, "floor", 0.0))
         if fit is not None:
             with open(runner.artifact("krt_fit.json"), "w") as fh:
                 json.dump(
@@ -450,8 +467,11 @@ def rootzen(config_path, out_dir, strict):
     def body(runner: Runner, cfg: dict):
         dist = distribution_from_config(cfg.get("distribution", {}))
         statistic = cfg.get("statistic", "max-xi")
-        t_list = [float(t) for t in cfg.get("T_list", [20.0, 200.0])]
-        n_paths = int(cfg.get("n_paths", 2000))
+        t_list = _read(cfg, "T_list", [20.0, 200.0])
+        # a shrinking error needs two horizons, and paths need a horizon > 0
+        if len(t_list) < 2 or min(t_list) <= 0.0:
+            raise ConfigError("T_list", f"expected two or more positive horizons, got {t_list}")
+        n_paths = _read(cfg, "n_paths", 2000)
         errs = []
         for j, T in enumerate(t_list):
             rng = _task_rng(runner.seed, j)

@@ -79,12 +79,7 @@ class RenewalPath:
         return np.diff(self.renewals()) if self.is_pure else np.diff(self.events)
 
 
-def simulate_path(
-    dist: Distribution,
-    horizon: float,
-    delay="zero",
-    rng: np.random.Generator | None = None,
-) -> RenewalPath:
+def simulate_path(dist: Distribution, horizon: float, delay, rng: np.random.Generator) -> RenewalPath:
     """Simulate a renewal path until the first event strictly past the horizon.
 
     ``delay`` is "zero", "stationary", or a fixed nonnegative time.

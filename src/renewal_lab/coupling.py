@@ -54,9 +54,9 @@ def _split_parts(p: GridMeasure, q: GridMeasure):
     return delta, common
 
 
-def maximal_coupling_sample(p: GridMeasure, q: GridMeasure, rng: np.random.Generator, size=None):
-    """Jointly draw (x, y, coupled) with x ~ p, y ~ q and
-    P(coupled = 0) = tv_distance(p, q) / 2.
+def maximal_coupling_sample(p: GridMeasure, q: GridMeasure, rng: np.random.Generator, size: int):
+    """Jointly draw ``size`` triples (x, y, coupled) with x ~ p, y ~ q and
+    P(coupled = 0) = tv_distance(p, q) / 2, as three arrays.
 
     With probability delta = mass(p ^ q) one value is drawn from the common
     part and used for both coordinates; otherwise the two residual laws are
@@ -67,15 +67,13 @@ def maximal_coupling_sample(p: GridMeasure, q: GridMeasure, rng: np.random.Gener
         if abs(mass - 1.0) > 1e-6:
             raise NotNormalizedError(f"{name} has mass {mass!r}, expected 1")
     delta, common = _split_parts(p, q)
-    scalar = size is None
-    n = 1 if scalar else int(size)
-    u_flag = rng.random(n)
-    u_val = rng.random(n)
-    u_val2 = rng.random(n)
+    u_flag = rng.random(size)
+    u_val = rng.random(size)
+    u_val2 = rng.random(size)
     coupled = u_flag < delta
 
-    x = np.empty(n)
-    y = np.empty(n)
+    x = np.empty(size)
+    y = np.empty(size)
     if delta > 1e-12 and np.any(coupled):
         z = inverse_cdf(common, u_val[coupled], delta)
         x[coupled] = z
@@ -94,8 +92,6 @@ def maximal_coupling_sample(p: GridMeasure, q: GridMeasure, rng: np.random.Gener
             q_rest = GridMeasure(q.grid, q.atom0 - common.atom0, q.density - common.density)
             x[anti] = inverse_cdf(p_rest, u_val[anti], rest)
             y[anti] = inverse_cdf(q_rest, u_val2[anti], rest)
-    if scalar:
-        return float(x[0]), float(y[0]), int(coupled[0])
     return x, y, coupled.astype(int)
 
 

@@ -396,6 +396,14 @@ _REQUIRED_FIELDS = {
 }
 
 
+def _config_number(field: str, value) -> float:
+    """A finite JSON number as a float; booleans, strings, inf and nan raise
+    ``ConfigError`` naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(field, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def distribution_from_config(cfg: dict) -> Distribution:
     """Build a distribution from its JSON form, e.g. {"kind": "gamma", "shape": 2, "rate": 1}."""
     if not isinstance(cfg, dict):
@@ -411,10 +419,7 @@ def distribution_from_config(cfg: dict) -> Distribution:
     for name in fields:
         if name not in cfg:
             raise ConfigError(f"distribution.{name}", f"required for kind {kind!r}")
-        try:
-            values.append(float(cfg[name]))
-        except (TypeError, ValueError):
-            raise ConfigError(f"distribution.{name}", f"expected a number, got {cfg[name]!r}") from None
+        values.append(_config_number(f"distribution.{name}", cfg[name]))
     try:
         if kind == "exponential":
             return Exponential(*values)

@@ -241,36 +241,25 @@ def convolve_measure_function_at(mu: GridMeasure, z: GridFunction, k: int) -> fl
     return mu.atom0 * z.values[k] + tail
 
 
-def _as_measure(obj) -> GridMeasure:
-    if isinstance(obj, GridMeasure):
-        return obj
-    if isinstance(obj, GridFunction):
-        return GridMeasure(obj.grid, 0.0, np.maximum(obj.values, 0.0))
-    raise TypeError(f"expected GridMeasure or GridFunction, got {type(obj).__name__}")
-
-
-def tv_distance(p, q) -> float:
+def tv_distance(p: GridMeasure, q: GridMeasure) -> float:
     """Total variation distance |atom difference| + int |density difference|.
 
-    Both arguments must be probability measures (mass within 1e-6 of 1);
-    densities given as ``GridFunction`` are promoted to atom-free measures.
+    Both arguments must be probability measures (mass within 1e-6 of 1).
     """
-    pm, qm = _as_measure(p), _as_measure(q)
-    _check_same_grid(pm.grid, qm.grid)
-    for name, m in (("first", pm), ("second", qm)):
+    _check_same_grid(p.grid, q.grid)
+    for name, m in (("first", p), ("second", q)):
         mass = m.total_mass()
         if abs(mass - 1.0) > 1e-6:
             raise NotNormalizedError(f"{name} argument has mass {mass!r}, expected 1 +/- 1e-06")
-    dens_part = float(np.trapezoid(np.abs(pm.density - qm.density), dx=pm.grid.step))
-    return abs(pm.atom0 - qm.atom0) + dens_part
+    dens_part = float(np.trapezoid(np.abs(p.density - q.density), dx=p.grid.step))
+    return abs(p.atom0 - q.atom0) + dens_part
 
 
-def overlap_mass(p, q) -> float:
+def overlap_mass(p: GridMeasure, q: GridMeasure) -> float:
     """Mass of the common part p ^ q (pointwise minimum of atoms and densities)."""
-    pm, qm = _as_measure(p), _as_measure(q)
-    _check_same_grid(pm.grid, qm.grid)
-    common = np.minimum(pm.density, qm.density)
-    return min(pm.atom0, qm.atom0) + float(np.trapezoid(common, dx=pm.grid.step))
+    _check_same_grid(p.grid, q.grid)
+    common = np.minimum(p.density, q.density)
+    return min(p.atom0, q.atom0) + float(np.trapezoid(common, dx=p.grid.step))
 
 
 def inverse_cdf(measure: GridMeasure, u: np.ndarray, mass: float) -> np.ndarray:

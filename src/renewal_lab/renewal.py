@@ -11,7 +11,9 @@ by one cyclic FFT product (Hairer, Lubich & Schlichte 1985; van der Hoeven
 2002).  The forward recurrence law at time t is evaluated from the identity
 P(B_t <= x) = int_0^t F((t-u, t+x-u]) Phi(du), and its density the same way
 with f: on the X + 1 x-nodes each is one ``grids._middle_product`` of the
-trapezoid weights of Phi on [0, t] with F or f on the lattice.
+trapezoid weights of Phi on [0, t] with F or f on the lattice.  The total
+variation distance to the stationary delay law compares that CDF with the
+closed-form stationary CDF cell by cell, so no density is formed for it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .grids import (
     _middle_product,
     convolve_measure_function,
     measure_from_distribution,
-    tv_distance,
 )
 
 __all__ = [
@@ -59,7 +60,7 @@ def default_grid(dist: Distribution, horizon_means: float = 100.0) -> Grid:
 def default_recurrence_grid(dist: Distribution, step: float) -> Grid:
     """x-grid for B_t laws: [0, x_q] with x_q the 1 - 1e-6 quantile of F.
 
-    Mass beyond x_q is lumped into the last node by the TV routines; the
+    Mass beyond x_q is the tail cell [x_q, inf) of ``tv_to_stationary``; the
     x-step must match the time grid so the two lattices stay commensurate.
     """
     x_q = float(dist.quantile(1.0 - 1e-6))
@@ -229,24 +230,21 @@ def forward_recurrence_density(
     return GridFunction(x_grid, np.maximum(atom0 * dens + conv, 0.0))
 
 
-def recurrence_density_at(dist: Distribution, t, x, *, phi: GridMeasure):
-    """Pointwise density of B_t at an off-grid x: the same integral,
+def recurrence_density_at(
+    dist: Distribution, t: np.ndarray, x: np.ndarray, *, phi: GridMeasure
+) -> np.ndarray:
+    """Pointwise densities of B_t at off-grid x: the same integral,
     f(t + x) + int_0^t f(t + x - u) Phi(du), one dot per (t, x) row.
 
-    ``t`` and ``x`` are scalars (the result is a float) or equal-length 1-D
-    arrays (one density per row).  Each t snaps to its nearest node; Phi's
-    atom at 0 is folded into the first trapezoid weight, and the lattices of
-    all rows are read with one ``dist.density`` call.
+    ``t`` and ``x`` are equal-length 1-D arrays (one density per row).  Each
+    t snaps to its nearest node; Phi's atom at 0 is folded into the first
+    trapezoid weight, and the lattices of all rows are read with one
+    ``dist.density`` call.
     """
     ts = np.asarray(t, dtype=float)
     xs = np.asarray(x, dtype=float)
-    scalar = ts.ndim == 0 and xs.ndim == 0
-    if scalar:
-        ts, xs = ts.reshape(1), xs.reshape(1)
-    elif ts.ndim != 1 or ts.shape != xs.shape:
-        raise ValueError(
-            f"t and x must be scalars or equal-length 1-D arrays, got shapes {ts.shape} and {xs.shape}"
-        )
+    if ts.ndim != 1 or ts.shape != xs.shape:
+        raise ValueError(f"t and x must be equal-length 1-D arrays, got shapes {ts.shape} and {xs.shape}")
     if ts.size == 0:
         return np.empty(0)
     h = phi.grid.step
@@ -259,37 +257,7 @@ def recurrence_density_at(dist: Distribution, t, x, *, phi: GridMeasure):
         w[0] += phi.atom0
         out[row] = np.dot(w, values[start : start + kt + 1])
         start += kt + 1
-    return float(out[0]) if scalar else out
-
-
-def _lump_tail(density: np.ndarray, tail_mass: float, step: float) -> np.ndarray:
-    """Add tail mass to the last node (trapezoid weight h/2 => bump 2 m / h)."""
-    out = density.copy()
-    out[-1] += 2.0 * max(tail_mass, 0.0) / step
     return out
-
-
-def bt_density_from_cdf(cdf: GridFunction) -> tuple[np.ndarray, float]:
-    """Central-difference density of a B_t CDF on its own grid.
-
-    Negative values (discretization noise) are clipped to 0 and the density
-    is renormalized back to the CDF's in-horizon mass; the clipped mass is
-    returned as a diagnostic.
-    """
-    h = cdf.grid.step
-    c = cdf.values
-    dens = np.empty_like(c)
-    dens[1:-1] = (c[2:] - c[:-2]) / (2.0 * h)
-    # second-order one-sided stencils keep the boundary consistent with the interior
-    dens[0] = (-3.0 * c[0] + 4.0 * c[1] - c[2]) / (2.0 * h)
-    dens[-1] = (3.0 * c[-1] - 4.0 * c[-2] + c[-3]) / (2.0 * h)
-    clipped = float(-np.sum(np.minimum(dens, 0.0)) * h)
-    dens = np.maximum(dens, 0.0)
-    in_mass = float(np.trapezoid(dens, dx=h))
-    target = float(c[-1])
-    if in_mass > 0.0:
-        dens *= target / in_mass
-    return dens, clipped
 
 
 def tv_to_stationary(
@@ -301,23 +269,18 @@ def tv_to_stationary(
     diagnostics: dict | None = None,
 ) -> float:
     """Total variation distance between the law of B_t and the stationary
-    delay law, both reduced to the x-grid with tail mass lumped into the
-    last node so each side carries exactly unit mass."""
+    delay law, both pushed onto the x-grid cells and the tail cell [X, inf).
+
+    With C_B the ``forward_recurrence_cdf`` read and C_pi the closed-form
+    stationary delay CDF at the x-nodes, the distance is
+    sum_k |dC_B[k] - dC_pi[k]| + |C_B[X] - C_pi[X]| (L1, twice the sup over
+    sets).  Both CDFs are 0 at x = 0, so no atom term is needed, and no
+    density is formed: nothing is clipped, renormalized or lumped.
+    """
     cdf = forward_recurrence_cdf(dist, t, x_grid, phi=phi)
-    x_grid = cdf.grid
-    dens, clipped = bt_density_from_cdf(cdf)
-    tail_b = max(0.0, 1.0 - float(cdf.values[-1]))
-    bt = GridMeasure(x_grid, 0.0, _lump_tail(dens, tail_b, x_grid.step))
-
-    pi = np.asarray(dist.stationary_delay_density(x_grid.nodes()), dtype=float)
-    pi_target = float(dist.stationary_delay_cdf(x_grid.horizon))
-    pi_mass = float(np.trapezoid(pi, dx=x_grid.step))
-    if pi_mass > 0.0:
-        pi = pi * (pi_target / pi_mass)
-    stationary = GridMeasure(x_grid, 0.0, _lump_tail(pi, 1.0 - pi_target, x_grid.step))
-
+    c_b = cdf.values
+    c_pi = np.asarray(dist.stationary_delay_cdf(cdf.grid.nodes()), dtype=float)
     if diagnostics is not None:
-        diagnostics["clipped_mass"] = clipped
-        diagnostics["tail_mass_bt"] = tail_b
-        diagnostics["tail_mass_stationary"] = 1.0 - pi_target
-    return tv_distance(bt, stationary)
+        diagnostics["tail_mass_bt"] = 1.0 - float(c_b[-1])
+        diagnostics["tail_mass_stationary"] = 1.0 - float(c_pi[-1])
+    return float(np.sum(np.abs(np.diff(c_b) - np.diff(c_pi))) + abs(c_b[-1] - c_pi[-1]))

@@ -87,6 +87,30 @@ class TestSolve:
         assert f"config error: {field}:" in res.stderr
 
 
+_BAD_NUMBERS = {
+    "grid-h-nan": ("phi", {"grid": {"h": float("nan"), "horizon": 30.0}}, "grid.h"),
+    "grid-horizon-inf": ("phi", {"grid": {"h": 0.01, "horizon": float("inf")}}, "grid.horizon"),
+    "rate-inf": ("phi", {"distribution": {"kind": "exponential", "rate": float("inf")}}, "distribution.rate"),
+    "rate-boolean": ("phi", {"distribution": {"kind": "exponential", "rate": True}}, "distribution.rate"),
+    "uniform-hi-inf": ("phi", {"distribution": {"kind": "uniform", "lo": 0.0, "hi": float("inf")}}, "distribution.hi"),
+    "n-traces-string": ("couple", {"n_traces": "abc"}, "n_traces"),
+    "t-means-empty": ("compensator", {"t_means": []}, "t_means"),
+    "t-means-negative": ("compensator", {"t_means": [-1.0, 5.0]}, "t_means"),
+    "n-paths-negative": ("compensator", {"n_paths": -5}, "n_paths"),
+    "t-list-one-horizon": ("rootzen", {"T_list": [20.0]}, "T_list"),
+    "t-list-negative": ("rootzen", {"T_list": [-5.0, 20.0]}, "T_list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_NUMBERS))
+def test_bad_config_numbers_name_their_field(runner, tmp_path, case):
+    subcommand, override, field = _BAD_NUMBERS[case]
+    cfg = write_config(tmp_path, "c.json", {**BASE, **override})
+    res = runner.invoke(main, [subcommand, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert f"config error: {field}:" in res.stderr
+
+
 class TestDeterminism:
     def test_same_seed_gives_byte_identical_artifacts(self, runner, tmp_path):
         payload = {

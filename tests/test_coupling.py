@@ -81,16 +81,11 @@ class TestMaximalCoupling:
         assert stats.kstest(x, lambda v: np.asarray(Exponential(1.0).cdf(v))).statistic < thresh
         assert stats.kstest(y, lambda v: np.asarray(Exponential(2.0).cdf(v))).statistic < thresh
 
-    def test_scalar_call(self, rng):
-        p, q = self.grid_pair()
-        x, y, c = maximal_coupling_sample(p, q, rng)
-        assert isinstance(x, float) and isinstance(y, float) and c in (0, 1)
-
     def test_rejects_unnormalized(self, rng):
         grid = Grid(0.01, 100)  # truncates most of the exponential mass
         p = measure_from_distribution(Exponential(1.0), grid)
         with pytest.raises(NotNormalizedError):
-            maximal_coupling_sample(p, p, rng)
+            maximal_coupling_sample(p, p, rng, size=10)
 
 
 class TestCommonComponent:

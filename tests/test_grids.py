@@ -243,11 +243,6 @@ class TestTotalVariation:
             assert dij == pytest.approx(dji, abs=1e-15)
             assert dij <= tv_distance(ms[i], ms[k]) + tv_distance(ms[k], ms[j]) + 1e-10
 
-    def test_accepts_grid_functions_as_densities(self):
-        p = self.normalized(Exponential(1.0))
-        as_fn = GridFunction(p.grid, p.density)
-        assert tv_distance(p, as_fn) == 0.0
-
 
 class TestDistributionMeasures:
     def test_mass_equals_cdf_at_horizon(self, dist):

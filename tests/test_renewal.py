@@ -197,21 +197,20 @@ class TestRecurrenceDensityAt:
         ts = [h if m == "step" else m * dist.mean() + (0.37 * h if m else 0.0) for m in self.T_MEANS]
         return [(t, xm * dist.mean()) for t in ts for xm in self.X_MEANS]
 
-    def test_scalar_matches_direct(self, dist, phi):
+    def test_one_row_matches_direct(self, dist, phi):
         for t, x in self.points(dist, phi):
-            fast = recurrence_density_at(dist, t, x, phi=phi)
-            assert type(fast) is float
+            (fast,) = recurrence_density_at(dist, np.array([t]), np.array([x]), phi=phi)
             direct = _recurrence_density_at_direct(dist, t, x, phi)
             assert abs(fast - direct) <= 1e-12 * abs(direct)
 
-    def test_array_matches_direct_and_scalar_calls(self, dist, phi):
+    def test_array_matches_direct_and_one_row_calls(self, dist, phi):
         ts, xs = map(np.array, zip(*self.points(dist, phi)))
         fast = recurrence_density_at(dist, ts, xs, phi=phi)
         assert fast.shape == ts.shape
         direct = np.array([_recurrence_density_at_direct(dist, t, x, phi) for t, x in zip(ts, xs)])
         assert np.all(np.abs(fast - direct) <= 1e-12 * np.abs(direct))
         np.testing.assert_array_equal(
-            fast, [recurrence_density_at(dist, t, x, phi=phi) for t, x in zip(ts, xs)]
+            fast, [recurrence_density_at(dist, ts[i : i + 1], xs[i : i + 1], phi=phi)[0] for i in range(len(ts))]
         )
 
     @pytest.mark.parametrize("rows", [0, 1])
@@ -222,6 +221,8 @@ class TestRecurrenceDensityAt:
     def test_rejects_mismatched_rows(self, dist, phi):
         with pytest.raises(ValueError, match="equal-length"):
             recurrence_density_at(dist, np.array([1.0, 2.0]), np.array([0.5]), phi=phi)
+        with pytest.raises(ValueError, match="equal-length"):
+            recurrence_density_at(dist, 1.0, 0.5, phi=phi)
 
     def test_horizon_exceeded(self, dist, phi):
         with pytest.raises(HorizonExceededError):
@@ -426,10 +427,21 @@ class TestForwardRecurrence:
 
 class TestTvToStationary:
     def test_exponential_is_stationary(self):
+        # B_t is exactly stationary; the cell-wise distance reads rounding only
         d = Exponential(1.0)
         phi = renewal_measure(d, small_grid(d))
         for t in [1.0, 5.0, 20.0]:
-            assert tv_to_stationary(d, t, phi=phi) < 1e-4
+            assert tv_to_stationary(d, t, phi=phi) < 1e-10
+
+    def test_gamma_closed_form(self):
+        # oracle: Erlang-2 is a two-phase chain, p_t - pi = e^{-2t} e^{-x} (x - 1) / 2,
+        # so the L1 distance is e^{-(2t + 1)}; at t = 0 the law of B_0 is F itself
+        d = Gamma(2.0, 1.0)
+        phi = renewal_measure(d, default_grid(d, horizon_means=30.0))
+        assert abs(tv_to_stationary(d, 0.0, phi=phi) - np.exp(-1.0)) <= 1e-12
+        for t in (0.5, 1.0, 2.0, 4.0):
+            # the O(h^2) floor of the scheme (h = mean / 200)
+            assert abs(tv_to_stationary(d, t, phi=phi) - np.exp(-(2.0 * t + 1.0))) <= 2e-5
 
     def test_t_zero_is_distance_between_interarrival_and_stationary(self):
         # oracle: int_0^2 |1/2 - (1 - x/2)| dx = 1/2
@@ -468,8 +480,9 @@ class TestTvToStationary:
         phi = renewal_measure(d, small_grid(d))
         diag = {}
         tv_to_stationary(d, 3.0, phi=phi, diagnostics=diag)
-        assert set(diag) == {"clipped_mass", "tail_mass_bt", "tail_mass_stationary"}
-        assert diag["clipped_mass"] >= 0.0
+        assert set(diag) == {"tail_mass_bt", "tail_mass_stationary"}
+        assert 0.0 <= diag["tail_mass_bt"] < 1e-4
+        assert 0.0 <= diag["tail_mass_stationary"] < 1e-4
 
 
 _NEEDS_PHI = {
