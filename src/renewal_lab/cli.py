@@ -319,15 +319,18 @@ def bt(config_path, out_dir, strict):
         for i, t in enumerate(ts):
             cdf = forward_recurrence_cdf(dist, t, x_grid, phi=measure)
             cdf.to_csv(runner.artifact(f"bt_cdf_{i}.csv"))
-            tv = tv_to_stationary(dist, t, x_grid, phi=measure)
+            diagnostics = {}
+            tv = tv_to_stationary(dist, t, x_grid, phi=measure, diagnostics=diagnostics)
             rows.append((t, tv))
+            # the read is O(h^2) accurate: clipping to [0, 1] and the
+            # monotonizing step must move it by no more than that
             runner.check(
                 CheckResult(
                     None,
-                    f"recurrence CDF at t={t:g} is monotone",
-                    bool(np.all(np.diff(cdf.values) >= 0.0)),
-                    {"final_value": float(cdf.values[-1])},
-                    "nondecreasing, approaching 1",
+                    f"recurrence CDF at t={t:g} needs no clip correction beyond h^2",
+                    diagnostics["clip_correction"] <= grid.step**2,
+                    {"clip_correction": diagnostics["clip_correction"], "final_value": float(cdf.values[-1])},
+                    f"clip correction <= h^2 = {grid.step**2:g}",
                 )
             )
         _write_rows(runner.artifact("tv.csv"), "t,tv_to_stationary", rows)

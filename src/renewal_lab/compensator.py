@@ -110,9 +110,10 @@ def simulate_path(dist: Distribution, horizon: float, delay, rng: np.random.Gene
         if total > horizon:
             break
         remaining = horizon - total
-    taus = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    events = tau0 + np.cumsum(taus)
+    events = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    np.cumsum(events, out=events)
     if tau0 > 0.0:
+        events += tau0
         events = np.concatenate(([tau0], events))
     keep = int(np.searchsorted(events, horizon, side="right")) + 1
     return RenewalPath(tau0, events[:keep], horizon)
@@ -126,27 +127,33 @@ def sample_forward_recurrence(dist: Distribution, t: float, n: int, rng: np.rand
     """n independent draws of B_t for the zero-delayed process, by direct
     block simulation of partial sums until they pass t.
 
-    Rows go in batches of at most ``_RECURRENCE_ROWS``; each round extends
-    the rows still at or below t by one block of partial sums.
+    Rows go in batches of at most ``_RECURRENCE_ROWS``.  Each round extends
+    the rows still at or below t by int(gap / mean) + 1 partial sums, where
+    gap is t minus the smallest partial sum among them: the first round
+    draws int(t / mean) + 1 per row, about what a row uses, and later rounds
+    cover the stragglers' shrinking gap.  A block holds at most
+    rows x (t / mean + 1) draws.  The block width depends only on draws
+    already made, so every row is an exact draw of B_t.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     mean = dist.mean()
-    width = int(1.25 * t / mean + 10.0 * math.sqrt(t / mean + 1.0) + 16.0)
     out = np.empty(n)
     for start in range(0, n, _RECURRENCE_ROWS):
         rows = np.arange(start, min(start + _RECURRENCE_ROWS, n))
         last = np.zeros(len(rows))
         while len(rows):
-            totals = np.cumsum(draw_interarrivals(dist, (len(rows), width), rng), axis=1)
+            width = int((t - last.min()) / mean) + 1
+            totals = draw_interarrivals(dist, (len(rows), width), rng)
+            np.cumsum(totals, axis=1, out=totals)
             totals += last[:, None]
             done = totals[:, -1] > t
             first = np.argmax(totals > t, axis=1)
             out[rows[done]] = totals[done, first[done]] - t
             rows, last = rows[~done], totals[~done, -1]
-            del totals  # one block alive at a time: most batches end in one round
+            del totals  # one block alive at a time
     return out
 
 

@@ -379,7 +379,9 @@ class ShiftedPareto(Distribution):
         return 1.0 - np.power(1.0 + x / self.scale, -(self.tail - 1.0))
 
     def _interarrival_draw(self, rng, size):
-        return self.scale * rng.pareto(self.tail, size)
+        draws = rng.pareto(self.tail, size)
+        draws *= self.scale
+        return draws
 
     def _stationary_delay_draw(self, rng, size):
         return self.scale * rng.pareto(self.tail - 1.0, size)

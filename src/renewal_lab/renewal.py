@@ -201,6 +201,16 @@ def _recurrence_read(
     return x_grid, phi.atom0, nodes[kt:], _middle_product(w, nodes, x_grid.count)
 
 
+def _recurrence_cdf(
+    dist: Distribution, t: float, x_grid: Grid | None, phi: GridMeasure
+) -> tuple[Grid, np.ndarray, np.ndarray]:
+    """x-grid, the B_t CDF clipped to [0, 1] and made nondecreasing, and the
+    CDF as read, before that correction."""
+    x_grid, atom0, f, conv = _recurrence_read(dist.cdf, dist, t, x_grid, phi)
+    raw = atom0 * (f - f[0]) + (conv - conv[0])
+    return x_grid, np.maximum.accumulate(np.clip(raw, 0.0, 1.0)), raw
+
+
 def forward_recurrence_cdf(
     dist: Distribution, t: float, x_grid: Grid | None = None, *, phi: GridMeasure
 ) -> GridFunction:
@@ -214,9 +224,7 @@ def forward_recurrence_cdf(
     weights of Phi with F on the lattice, in (kt + 1)(X + 1) multiply-adds
     or, where those exceed 16 N log2 N for the FFT length N, by FFT.
     """
-    x_grid, atom0, f, conv = _recurrence_read(dist.cdf, dist, t, x_grid, phi)
-    values = atom0 * (f - f[0]) + (conv - conv[0])
-    values = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
+    x_grid, values, _ = _recurrence_cdf(dist, t, x_grid, phi)
     return GridFunction(x_grid, values)
 
 
@@ -275,12 +283,17 @@ def tv_to_stationary(
     stationary delay CDF at the x-nodes, the distance is
     sum_k |dC_B[k] - dC_pi[k]| + |C_B[X] - C_pi[X]| (L1, twice the sup over
     sets).  Both CDFs are 0 at x = 0, so no atom term is needed, and no
-    density is formed: nothing is clipped, renormalized or lumped.
+    density is formed: nothing is renormalized or lumped.
+
+    ``diagnostics``, when given, receives the two tail masses 1 - C[X] and
+    ``clip_correction``, the sup over the x-nodes of what clipping C_B to
+    [0, 1] and making it nondecreasing moved; the trapezoid read is O(h^2)
+    accurate, so a larger correction flags a read gone wrong.
     """
-    cdf = forward_recurrence_cdf(dist, t, x_grid, phi=phi)
-    c_b = cdf.values
-    c_pi = np.asarray(dist.stationary_delay_cdf(cdf.grid.nodes()), dtype=float)
+    x_grid, c_b, raw = _recurrence_cdf(dist, t, x_grid, phi)
+    c_pi = np.asarray(dist.stationary_delay_cdf(x_grid.nodes()), dtype=float)
     if diagnostics is not None:
+        diagnostics["clip_correction"] = float(np.max(np.abs(c_b - raw)))
         diagnostics["tail_mass_bt"] = 1.0 - float(c_b[-1])
         diagnostics["tail_mass_stationary"] = 1.0 - float(c_pi[-1])
     return float(np.sum(np.abs(np.diff(c_b) - np.diff(c_pi))) + abs(c_b[-1] - c_pi[-1]))

@@ -165,6 +165,11 @@ class TestSubcommands:
         tv_rows = (tmp_path / "o" / "tv.csv").read_text().splitlines()
         assert tv_rows[0] == "t,tv_to_stationary"
         assert len(tv_rows) == 3
+        checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+        assert [c["name"] for c in checks] == [
+            f"recurrence CDF at t={t:g} needs no clip correction beyond h^2" for t in (0.0, 4.0)
+        ]
+        assert all(0.0 <= c["measured"]["clip_correction"] <= 0.01**2 for c in checks)
 
     def test_stone_reports_component(self, runner, tmp_path):
         payload = {

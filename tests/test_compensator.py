@@ -19,8 +19,10 @@ from renewal_lab import (
     scaled_recurrence_sup,
     simulate_path,
 )
-from renewal_lab.compensator import path_max_statistic
+from renewal_lab import compensator
+from renewal_lab.compensator import _RECURRENCE_ROWS, draw_interarrivals, path_max_statistic
 from renewal_lab.errors import FiniteSupportError
+from renewal_lab.renewal import default_grid, default_recurrence_grid, forward_recurrence_cdf, renewal_measure
 
 
 def _compensator_direct(path, dist, t):
@@ -130,6 +132,47 @@ class TestRecurrenceTimes:
         draws = sample_forward_recurrence(d, 10.0, n, rng)
         res = stats.kstest(draws, lambda v: np.asarray(d.cdf(v)))
         assert res.statistic < 1.36 / math.sqrt(n)
+
+
+class TestForwardRecurrenceSampler:
+    def test_b0_is_the_first_interarrival(self, dist, rng):
+        n = 20_000
+        draws = sample_forward_recurrence(dist, 0.0, n, rng)
+        res = stats.kstest(draws, lambda v: np.asarray(dist.cdf(v), dtype=float))
+        assert res.statistic < 1.36 / math.sqrt(n)
+
+    def test_rows_across_batches_and_rounds_follow_the_grid_law(self, rng):
+        # one batch plus 7 rows; at 50 means the Pareto stragglers take several rounds
+        d = ShiftedPareto(3.5, 1.0)
+        n = _RECURRENCE_ROWS + 7
+        t = 50.0 * d.mean()
+        grid = default_grid(d)
+        cdf = forward_recurrence_cdf(d, t, default_recurrence_grid(d, grid.step), phi=renewal_measure(d, grid))
+        draws = sample_forward_recurrence(d, t, n, rng)
+        assert np.all(draws > 0.0)
+        ks = stats.kstest(draws, lambda v: np.interp(v, cdf.grid.nodes(), cdf.values, right=1.0)).statistic
+        assert ks < 1.36 / math.sqrt(n) + 2.0 * grid.step  # criterion 3's threshold
+
+    def test_same_seed_same_draws(self, dist):
+        t = 10.0 * dist.mean()
+        first, second = (sample_forward_recurrence(dist, t, 500, np.random.default_rng(5)) for _ in range(2))
+        np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("mult", [2.0, 10.0, 50.0])
+    def test_draws_stay_within_budget(self, dist, rng, mult, monkeypatch):
+        # a row uses about t / mean + 1 interarrivals; the sampler may draw
+        # half as many again, not several times that
+        drawn = []
+
+        def counting(d, size, r):
+            out = draw_interarrivals(d, size, r)
+            drawn.append(out.size)
+            return out
+
+        monkeypatch.setattr(compensator, "draw_interarrivals", counting)
+        n = 20_000
+        sample_forward_recurrence(dist, mult * dist.mean(), n, rng)
+        assert sum(drawn) <= 1.5 * n * (mult + 1.0)
 
 
 class TestCompensator:

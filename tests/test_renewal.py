@@ -480,9 +480,19 @@ class TestTvToStationary:
         phi = renewal_measure(d, small_grid(d))
         diag = {}
         tv_to_stationary(d, 3.0, phi=phi, diagnostics=diag)
-        assert set(diag) == {"tail_mass_bt", "tail_mass_stationary"}
+        assert set(diag) == {"clip_correction", "tail_mass_bt", "tail_mass_stationary"}
+        assert 0.0 <= diag["clip_correction"] <= phi.grid.step**2
         assert 0.0 <= diag["tail_mass_bt"] < 1e-4
         assert 0.0 <= diag["tail_mass_stationary"] < 1e-4
+
+    def test_clip_correction_reads_the_uniform_overshoot(self):
+        # the uniform read dips below its running max near t = 0.5 means on the
+        # default grid: the correction is nonzero there, and within O(h^2)
+        d = Uniform(0.0, 2.0)
+        phi = renewal_measure(d, default_grid(d))
+        diag = {}
+        tv_to_stationary(d, 0.5 * d.mean(), phi=phi, diagnostics=diag)
+        assert 0.0 < diag["clip_correction"] <= phi.grid.step**2
 
 
 _NEEDS_PHI = {
