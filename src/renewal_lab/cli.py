@@ -129,7 +129,7 @@ class Runner:
         self.out.mkdir(parents=True, exist_ok=True)
         self.seed = _resolve_seed(cfg)
         self.checks: list[dict] = []
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
 
     def check(self, result: CheckResult) -> None:
         self.checks.append(
@@ -138,6 +138,7 @@ class Runner:
                 "passed": bool(result.passed),
                 "measured": result.measured,
                 "tolerance": result.tolerance,
+                "seconds": result.seconds,
             }
         )
         click.echo(result.line())
@@ -153,7 +154,7 @@ class Runner:
             "config": resolved,
             "checks": self.checks,
             "passed": all(c["passed"] for c in self.checks),
-            "wall_time_s": time.time() - self.t0,
+            "wall_time_s": time.perf_counter() - self.t0,
         }
         with open(self.out / "report.json", "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -9,11 +9,15 @@ count sigma is then geometric with success probability delta^2, and the
 processes share a renewal at the coupling time L_sigma + U.
 
 The stationary process starts from an exact closed-form draw of its delay.
-Recurrence-time draws use direct segment simulation (exact law); the two
-densities entering the thinning ratio come from the grid quadrature of the
-recurrence-law integral, read off the renewal measure Phi the caller passes,
-as one read of the rows within the verified burn-in lattice (probe times
-past it use the stationary density instead).
+Recurrence-time draws use direct segment simulation (exact law): a walk
+over blocks of interarrivals that adds them one by one until the partial sum
+passes t.  The two densities entering the thinning ratio come from the grid
+quadrature of the recurrence-law integral, read off the renewal measure Phi
+the caller passes, as one read of the rows within the verified burn-in
+lattice (probe times past it use the stationary density instead); when both
+probes are within it, the ratio is formed from Python floats.  One trial
+thus makes a handful of numpy calls: the interarrival blocks, one density
+read and one uniform.
 """
 
 from __future__ import annotations
@@ -221,16 +225,24 @@ class CouplingTrace:
 
 
 def _draw_recurrence_direct(dist: Distribution, t: float, rng: np.random.Generator) -> float:
-    """One exact draw of B_t by simulating partial sums until they pass t."""
+    """One exact draw of B_t by simulating partial sums until they pass t.
+
+    Interarrivals come in blocks of ``int((t - total) / mean * 1.3 + 12)``;
+    the walk adds a block's draws one by one to a running float ``acc``
+    (the sequential order of ``np.cumsum``) and returns ``(total + acc) - t``
+    at the first partial sum past t, so each draw is the same float as a
+    cumsum-and-searchsorted read of the block, without its numpy calls.
+    """
     mean = dist.mean()
     total = 0.0
     while True:
         block = int((t - total) / mean * 1.3 + 12.0)
-        cs = total + np.cumsum(draw_interarrivals(dist, block, rng))
-        if cs[-1] > t:
-            idx = int(np.searchsorted(cs, t, side="right"))
-            return float(cs[idx]) - t
-        total = float(cs[-1])
+        acc = 0.0
+        for x in draw_interarrivals(dist, block, rng).tolist():
+            acc += x
+            if total + acc > t:
+                return (total + acc) - t
+        total = total + acc
 
 
 def simulate_coupling(
@@ -264,13 +276,16 @@ def simulate_coupling(
         etas.append((eta, eta_hat))
 
         if beta < b and beta_hat < b:
-            ts, xs = np.array((t1, t2)), np.array((beta, beta_hat))
-            near = ts <= t_stab
-            p = np.empty(2)
-            p[near] = recurrence_density_at(dist, ts[near], xs[near], phi=phi)
-            if not near.all():
+            if t1 <= t_stab and t2 <= t_stab:
+                p0, p1 = recurrence_density_at(dist, (t1, t2), (beta, beta_hat), phi=phi).tolist()
+            else:
+                ts, xs = np.array((t1, t2)), np.array((beta, beta_hat))
+                near = ts <= t_stab
+                p = np.empty(2)
+                p[near] = recurrence_density_at(dist, ts[near], xs[near], phi=phi)
                 p[~near] = dist.stationary_delay_density(xs[~near])
-            ratio = delta * delta * inv_b * inv_b / (p[0] * p[1])
+                p0, p1 = p.tolist()
+            ratio = delta * delta * inv_b * inv_b / (p0 * p1)
             if ratio > 1.0 + 1e-9:
                 raise ThinningError(
                     f"acceptance probability {ratio:g} > 1 at (t1={t1:g}, t2={t2:g}); "

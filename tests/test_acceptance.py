@@ -7,6 +7,8 @@ numerical floor inside the required window and the weighted sequence cannot
 decrease there; see the analysis in the decisions log outside the package.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,17 @@ def assert_all(results):
 
 def test_criterion_1_exponential_renewal_function():
     assert_all(run(1))
+
+
+def test_criterion_1_budget_ignores_wall_clock_steps(monkeypatch):
+    # the wall clock steps back an hour after its first read; the budget
+    # time comes from a monotonic clock, so it stays a duration
+    start = time.time()
+    reads = iter([start])
+    monkeypatch.setattr(time, "time", lambda: next(reads, start - 3600.0))
+    (result,) = run(1)
+    assert result.measured["seconds"] >= 0.0
+    assert result.passed
 
 
 def test_criterion_2_linear_solution_round_trip():

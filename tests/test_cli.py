@@ -258,6 +258,11 @@ class TestSubcommands:
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert {c["name"].split(".")[0] for c in report["checks"]} == {"1", "5"}
         assert report["passed"] is True
+        # every check carries the seconds of its criterion; criterion 1 keeps its budget time
+        for c in report["checks"]:
+            assert isinstance(c["seconds"], float) and c["seconds"] > 0.0
+        (c1,) = [c for c in report["checks"] if c["name"].startswith("1. ")]
+        assert 0.0 <= c1["measured"]["seconds"] <= c1["seconds"]
 
     def test_all_rejects_unknown_criteria(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"seed": 1})

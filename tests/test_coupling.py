@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from renewal_lab import (
     Exponential,
     Gamma,
     Grid,
+    ShiftedPareto,
     Uniform,
     coupled_event_sequences,
     coupling_moment,
@@ -20,7 +22,7 @@ from renewal_lab import (
     tv_distance,
 )
 from renewal_lab import coupling
-from renewal_lab.coupling import verify_common_component
+from renewal_lab.coupling import CouplingTrace, verify_common_component
 from renewal_lab.errors import NoCommonComponentError, NotNormalizedError
 from renewal_lab.grids import measure_from_distribution
 
@@ -32,6 +34,14 @@ def grid_for(dist, horizon_means=50.0):
 @pytest.fixture(scope="module")
 def gamma_setup():
     d = Gamma(2.0, 1.0)
+    phi = renewal_measure(d, grid_for(d))
+    params = find_common_component(d, phi=phi)
+    return d, phi, params
+
+
+@pytest.fixture(scope="module")
+def pareto_setup():
+    d = ShiftedPareto(3.5, 1.0)
     phi = renewal_measure(d, grid_for(d))
     params = find_common_component(d, phi=phi)
     return d, phi, params
@@ -119,6 +129,69 @@ class TestCommonComponent:
         monkeypatch.setattr(coupling, "_LATTICE_STEP", 1e-4 / d.mean())
         with pytest.raises(NoCommonComponentError):
             find_common_component(d, phi=phi)
+
+
+def _draw_recurrence_cumsum(dist, t, rng):
+    """Exact B_t draw read off the cumsum of each block with searchsorted:
+    the oracle for the walk of ``coupling._draw_recurrence_direct``, which
+    must return the same float and leave the stream in the same state."""
+    mean = dist.mean()
+    total = 0.0
+    while True:
+        block = int((t - total) / mean * 1.3 + 12.0)
+        cs = total + np.cumsum(coupling.draw_interarrivals(dist, block, rng))
+        if cs[-1] > t:
+            idx = int(np.searchsorted(cs, t, side="right"))
+            return float(cs[idx]) - t
+        total = float(cs[-1])
+
+
+class TestRecurrenceDraw:
+    T_MEANS = (0.0, "step", 0.3, 1.0, 5.0, 20.0)
+    SEEDS = (0, 1, 2)
+
+    def assert_same_draws(self, dist):
+        h = dist.mean() / 200.0
+        for m in self.T_MEANS:
+            t = h if m == "step" else m * dist.mean()
+            for seed in self.SEEDS:
+                rng_walk, rng_cumsum = np.random.default_rng(seed), np.random.default_rng(seed)
+                walk = coupling._draw_recurrence_direct(dist, t, rng_walk)
+                oracle = _draw_recurrence_cumsum(dist, t, rng_cumsum)
+                assert isinstance(walk, float) and walk == oracle, (t, seed)
+                assert rng_walk.bit_generator.state == rng_cumsum.bit_generator.state
+
+    def test_walk_matches_cumsum(self, dist):
+        self.assert_same_draws(dist)
+
+    def test_walk_matches_cumsum_across_blocks(self, dist, monkeypatch):
+        # at most 2 draws per block: every walk past two interarrivals
+        # carries its partial sum into later blocks
+        draw = coupling.draw_interarrivals
+        blocks = []
+
+        def two_at_most(d, size, rng):
+            blocks.append(size)
+            return draw(d, min(size, 2), rng)
+
+        monkeypatch.setattr(coupling, "draw_interarrivals", two_at_most)
+        self.assert_same_draws(dist)
+        draws = 2 * len(self.T_MEANS) * len(self.SEEDS)
+        assert len(blocks) > 2 * draws
+
+    @pytest.mark.parametrize("setup", ["gamma_setup", "pareto_setup"])
+    def test_traces_match_cumsum_draw(self, setup, request, monkeypatch):
+        d, phi, params = request.getfixturevalue(setup)
+        shipped = [simulate_coupling(d, params, np.random.default_rng(seed), phi=phi) for seed in range(100)]
+        monkeypatch.setattr(coupling, "_draw_recurrence_direct", _draw_recurrence_cumsum)
+        oracle = [simulate_coupling(d, params, np.random.default_rng(seed), phi=phi) for seed in range(100)]
+        for a, b in zip(shipped, oracle):
+            for field in dataclasses.fields(CouplingTrace):
+                va, vb = getattr(a, field.name), getattr(b, field.name)
+                if isinstance(va, np.ndarray):
+                    assert np.array_equal(va, vb), field.name
+                else:
+                    assert va == vb, field.name
 
 
 class TestCouplingChain:

@@ -31,6 +31,7 @@ from renewal_lab.compensator import sample_forward_recurrence
 from renewal_lab.errors import HorizonExceededError, StepTooCoarseError
 from renewal_lab.grids import _direct_is_cheaper
 from renewal_lab.renewal import (
+    _recurrence_weights,
     default_grid,
     default_recurrence_grid,
     recurrence_density_at,
@@ -181,6 +182,22 @@ def _recurrence_density_at_direct(dist, t, x, phi):
     return base + float(np.dot(w, np.asarray(dist.density(t_snap + x - h * np.arange(kt + 1)), dtype=float)))
 
 
+def _recurrence_density_at_rows(dist, ts, xs, phi):
+    """The fused read with each row's weights and lattice built on their own
+    by ``_recurrence_weights``: the bit-for-bit oracle of its shared slices."""
+    h = phi.grid.step
+    rows = [_recurrence_weights(phi, t) for t in ts.tolist()]
+    lattices = [kt * h + x - h * np.arange(kt + 1) for (kt, _), x in zip(rows, xs.tolist())]
+    values = np.asarray(dist.density(np.concatenate(lattices)), dtype=float)
+    out = np.empty(len(rows))
+    start = 0
+    for row, (kt, w) in enumerate(rows):
+        w[0] += phi.atom0
+        out[row] = np.dot(w, values[start : start + kt + 1])
+        start += kt + 1
+    return out
+
+
 class TestRecurrenceDensityAt:
     """Pointwise reads at t = 0, one step and off-node times up to
     0.5 + 20 means (the probe chain's burn-in lattice), x inside (0, mean)."""
@@ -213,6 +230,16 @@ class TestRecurrenceDensityAt:
             fast, [recurrence_density_at(dist, ts[i : i + 1], xs[i : i + 1], phi=phi)[0] for i in range(len(ts))]
         )
 
+    def test_bit_identical_to_per_row_weights(self, dist, phi):
+        ts, xs = map(np.array, zip(*self.points(dist, phi)))
+        assert np.array_equal(recurrence_density_at(dist, ts, xs, phi=phi), _recurrence_density_at_rows(dist, ts, xs, phi))
+        # two-row reads as the probe chain makes them, one row often at t = 0
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            t2 = rng.uniform(0.0, 21.0 * dist.mean(), 2) * rng.integers(0, 2, 2)
+            x2 = rng.uniform(0.0, dist.mean(), 2)
+            assert np.array_equal(recurrence_density_at(dist, t2, x2, phi=phi), _recurrence_density_at_rows(dist, t2, x2, phi))
+
     @pytest.mark.parametrize("rows", [0, 1])
     def test_short_arrays_stay_arrays(self, dist, phi, rows):
         out = recurrence_density_at(dist, np.full(rows, dist.mean()), np.full(rows, 0.5), phi=phi)
@@ -227,6 +254,8 @@ class TestRecurrenceDensityAt:
     def test_horizon_exceeded(self, dist, phi):
         with pytest.raises(HorizonExceededError):
             recurrence_density_at(dist, np.array([1.0, 2.0 * phi.grid.horizon]), np.array([0.5, 0.5]), phi=phi)
+        with pytest.raises(HorizonExceededError, match="t = nan"):
+            recurrence_density_at(dist, np.array([1.0, np.nan]), np.array([0.5, 0.5]), phi=phi)
 
 
 class TestRenewalMeasure:
