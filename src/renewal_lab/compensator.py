@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,13 @@ def draw_interarrivals(dist: Distribution, size, rng: np.random.Generator) -> np
 
 @dataclass(frozen=True)
 class RenewalPath:
-    """One realization: strictly increasing positive event times, run past the horizon."""
+    """One realization: strictly increasing positive event times, run past the horizon.
+
+    ``spans`` holds the gaps between consecutive epochs counted from the
+    origin: ``spans[0]`` is the first event (the delay of a delayed path) and
+    ``spans[1:]`` is ``np.diff(events)``.  It is computed once, on first
+    read, and is read-only, so every path statistic shares it.
+    """
 
     delay: float
     events: np.ndarray
@@ -54,7 +61,7 @@ class RenewalPath:
         object.__setattr__(self, "events", events)
         if events.size == 0 or events[0] <= 0.0:
             raise ValueError("paths must contain at least one strictly positive event")
-        if np.any(np.diff(events) <= 0.0):
+        if not np.all(events[1:] > events[:-1]):  # also rejects NaN
             raise ValueError("event times must be strictly increasing")
         if events[-1] < self.horizon:
             raise ValueError("simulation must run past the horizon")
@@ -74,9 +81,19 @@ class RenewalPath:
             return np.concatenate(([0.0], self.events))
         return self.events
 
+    @cached_property
+    def spans(self) -> np.ndarray:
+        # np.diff(events, prepend=0.0), without its concatenated copy
+        e = self.events
+        spans = np.empty_like(e)
+        spans[0] = e[0]
+        np.subtract(e[1:], e[:-1], out=spans[1:])
+        spans.flags.writeable = False
+        return spans
+
     def interarrivals(self) -> np.ndarray:
-        """tau_1, tau_2, ... (the delay is not an interarrival)."""
-        return np.diff(self.renewals()) if self.is_pure else np.diff(self.events)
+        """tau_1, tau_2, ... (the delay is not an interarrival); a read-only view."""
+        return self.spans if self.is_pure else self.spans[1:]
 
 
 def simulate_path(dist: Distribution, horizon: float, delay, rng: np.random.Generator) -> RenewalPath:
@@ -165,10 +182,10 @@ def recurrence_times(path: RenewalPath, t: float) -> tuple[float, float]:
     """
     if not 0.0 <= t <= path.horizon:
         raise ValueError(f"t = {t:g} outside [0, {path.horizon:g}]")
-    r = path.renewals()
-    idx = int(np.searchsorted(r, t, side="right"))
-    last = r[idx - 1] if idx >= 1 else 0.0
-    return t - float(last), float(r[idx]) - t
+    e = path.events
+    k = int(np.searchsorted(e, t, side="right"))
+    last = e[k - 1] if k >= 1 else 0.0
+    return t - float(last), float(e[k]) - t
 
 
 def compensator_at(path: RenewalPath, dist: Distribution, t):
@@ -189,8 +206,8 @@ def compensator_at(path: RenewalPath, dist: Distribution, t):
         raise ValueError(f"t = {t} outside [0, {path.horizon:g}]")
     k = np.searchsorted(path.events, ts, side="right")
     cycles = int(k) if scalar else int(k.max(initial=0))
-    renewals = np.concatenate(([0.0], path.events[:cycles]))
-    xi = dist.cumulative_hazard(np.concatenate((np.diff(renewals), np.ravel(ts - renewals[k]))))
+    last = np.where(k >= 1, path.events[k - 1], 0.0)
+    xi = dist.cumulative_hazard(np.concatenate((path.spans[:cycles], np.ravel(ts - last))))
     full = np.zeros(cycles + 1)
     np.cumsum(xi[:cycles], out=full[1:])
     out = full[k] + xi[cycles:].reshape(ts.shape)
@@ -213,8 +230,7 @@ def cycle_hazards(path: RenewalPath, dist: Distribution) -> CycleHazards:
     """
     if not path.is_pure:
         raise ValueError("cycle hazards are defined for zero-delayed paths")
-    taus = np.diff(np.concatenate(([0.0], path.events)))
-    return CycleHazards(np.asarray(dist.cumulative_hazard(taus), dtype=float))
+    return CycleHazards(np.asarray(dist.cumulative_hazard(path.spans), dtype=float))
 
 
 def scaled_compensator_sup(path: RenewalPath, dist: Distribution, T: float, p: float) -> float:
@@ -227,10 +243,8 @@ def scaled_compensator_sup(path: RenewalPath, dist: Distribution, T: float, p: f
         raise ValueError("T beyond the simulated horizon")
     e = path.events
     k = int(np.searchsorted(e, T, side="right"))
-    renewals = np.concatenate(([0.0], e[:k]))
-    taus = np.diff(renewals)
-    best = float(np.max(dist.cumulative_hazard(taus))) if taus.size else 0.0
-    partial = float(dist.cumulative_hazard(T - renewals[-1]))
+    best = float(np.max(dist.cumulative_hazard(path.spans[:k]))) if k else 0.0
+    partial = float(dist.cumulative_hazard(T - (e[k - 1] if k else 0.0)))
     return max(best, partial) / T**p
 
 
@@ -242,23 +256,20 @@ def scaled_recurrence_sup(path: RenewalPath, T: float, p: float) -> tuple[float,
     """
     if T > path.horizon:
         raise ValueError("T beyond the simulated horizon")
-    r = path.renewals()
-    if r[0] > 0.0:
-        r = np.concatenate(([0.0], r))  # delayed path: B_0 is the delay itself
-    idx = int(np.searchsorted(r, T, side="right"))
-    spans = np.diff(r[: idx + 1])
+    e = path.events
+    k = int(np.searchsorted(e, T, side="right"))
+    spans = path.spans[: k + 1]  # a delayed path's B_0 is the delay itself
     sup_b = float(np.max(spans))
     completed = spans[:-1]
-    sup_a = max(float(np.max(completed)) if completed.size else 0.0, T - float(r[idx - 1]))
+    sup_a = max(float(np.max(completed)) if completed.size else 0.0, T - float(e[k - 1] if k else 0.0))
     scale = T ** (1.0 / p)
     return sup_a / scale, sup_b / scale
 
 
 def path_max_statistic(path: RenewalPath, dist: Distribution, T: float, statistic: str) -> float:
     """max over cycles 1..N(T) of tau_k or of xi_k (full straddler span)."""
-    r = path.renewals()
-    idx = int(np.searchsorted(r, T, side="right"))
-    taus = np.diff(r[: idx + 1])
+    k = int(np.searchsorted(path.events, T, side="right"))
+    taus = path.spans[: k + 1] if path.is_pure else path.spans[1 : k + 1]
     if statistic == "max-tau":
         return float(np.max(taus))
     if statistic == "max-xi":

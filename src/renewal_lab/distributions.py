@@ -112,7 +112,8 @@ class Distribution(ABC):
 
     @abstractmethod
     def _interarrival_draw(self, rng: np.random.Generator, size):
-        """Draws from numpy's native sampler for the kind (not inverse-CDF)."""
+        """Draws from numpy's native sampler for the kind, or from its formula
+        evaluated as array passes (not inverse-CDF); ``size`` is an int or a shape."""
 
     # -- stationary delay ----------------------------------------------------
 
@@ -222,7 +223,6 @@ class Gamma(Distribution):
     def density(self, x):
         x = np.asarray(x, dtype=float)
         pos = x > 0.0
-        out = np.zeros_like(x, dtype=float)
         xp = np.where(pos, x, 1.0)
         log_pdf = (
             self.shape * math.log(self.rate_)
@@ -379,7 +379,16 @@ class ShiftedPareto(Distribution):
         return 1.0 - np.power(1.0 + x / self.scale, -(self.tail - 1.0))
 
     def _interarrival_draw(self, rng, size):
-        draws = rng.pareto(self.tail, size)
+        """numpy's own Pareto formula, scale * expm1(E / tail) with E standard
+        exponential, as three array passes instead of one C call per element.
+
+        It consumes the stream exactly as ``rng.pareto(tail, size)`` does and
+        agrees with ``rng.pareto(tail, size) * scale`` to rounding: the
+        vectorized ``np.expm1`` loop may round the last bit differently.
+        """
+        draws = rng.standard_exponential(size)
+        draws /= self.tail
+        np.expm1(draws, out=draws)
         draws *= self.scale
         return draws
 

@@ -111,21 +111,49 @@ def test_bad_config_numbers_name_their_field(runner, tmp_path, case):
     assert f"config error: {field}:" in res.stderr
 
 
-class TestDeterminism:
-    def test_same_seed_gives_byte_identical_artifacts(self, runner, tmp_path):
-        payload = {
+PARETO = {"kind": "shifted-pareto", "tail": 3.5, "scale": 1.0}
+DETERMINISM_RUNS = {
+    "couple-gamma": (
+        "couple",
+        {
             "distribution": {"kind": "gamma", "shape": 2.0, "rate": 1.0},
             "grid": {"h": 0.02, "horizon": 60.0},
             "seed": 11,
             "n_traces": 200,
             "t_checks": [],
-        }
+        },
+        ("traces.csv", "summary.json"),
+    ),
+    "compensator-pareto": (
+        "compensator",
+        {"distribution": PARETO, "seed": 11, "n_paths": 300, "t_means": [5.0, 20.0], "dump_paths": True},
+        ("paths.csv", "martingale.csv"),
+    ),
+    "rootzen-pareto": (
+        "rootzen",
+        {"distribution": PARETO, "seed": 11, "T_list": [20.0, 200.0], "n_paths": 300},
+        ("rootzen.csv",),
+    ),
+}
+
+
+def _checks_without_timings(out_dir):
+    checks = json.loads((out_dir / "report.json").read_text())["checks"]
+    return [{k: v for k, v in c.items() if k != "seconds"} for c in checks]
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("run", DETERMINISM_RUNS.values(), ids=DETERMINISM_RUNS.keys())
+    def test_same_seed_gives_byte_identical_artifacts(self, runner, tmp_path, run):
+        subcommand, payload, artifacts = run
         cfg = write_config(tmp_path, "c.json", payload)
         for out in ("a", "b"):
-            res = runner.invoke(main, ["couple", "--config", cfg, "--out", str(tmp_path / out)])
+            res = runner.invoke(main, [subcommand, "--config", cfg, "--out", str(tmp_path / out)])
             assert res.exit_code == 0, res.output
-        assert (tmp_path / "a" / "traces.csv").read_bytes() == (tmp_path / "b" / "traces.csv").read_bytes()
-        assert (tmp_path / "a" / "summary.json").read_bytes() == (tmp_path / "b" / "summary.json").read_bytes()
+        for name in artifacts:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        # report.json also carries wall times; its checks must agree apart from those
+        assert _checks_without_timings(tmp_path / "a") == _checks_without_timings(tmp_path / "b")
 
     def test_task_streams_do_not_collide_across_seeds(self):
         # seed ^ index would give seed 6, task 1 the stream of seed 7, task 0

@@ -103,6 +103,10 @@ class TestPaths:
             RenewalPath(0.0, np.array([0.5, 0.8]), 1.0)  # stops short of horizon
         with pytest.raises(ValueError):
             RenewalPath(0.0, np.array([-0.5, 1.5]), 1.0)  # nonpositive event
+        with pytest.raises(ValueError):
+            RenewalPath(0.0, np.array([0.5, 0.5, 2.0]), 1.0)  # repeated event
+        with pytest.raises(ValueError):
+            RenewalPath(0.0, np.array([0.5, math.nan, 2.0]), 1.0)  # NaN event
 
 
 class TestRecurrenceTimes:
@@ -340,6 +344,120 @@ class TestScaledSups:
             path = simulate_path(d, 1.0e4, "zero", rng)
             sups.append(scaled_recurrence_sup(path, 1.0e4, 1.0)[1])
         assert np.median(sups) < 0.01
+
+
+# Oracles for the span readers: the formulas that rebuilt renewals() and took
+# their own np.diff on every call, before the readers shared path.spans.
+
+
+def _interarrivals_oracle(path):
+    return np.diff(path.renewals()) if path.is_pure else np.diff(path.events)
+
+
+def _recurrence_times_oracle(path, t):
+    r = path.renewals()
+    idx = int(np.searchsorted(r, t, side="right"))
+    last = r[idx - 1] if idx >= 1 else 0.0
+    return t - float(last), float(r[idx]) - t
+
+
+def _compensator_at_oracle(path, dist, t):
+    ts = np.asarray(t, dtype=float)
+    scalar = ts.ndim == 0
+    k = np.searchsorted(path.events, ts, side="right")
+    cycles = int(k) if scalar else int(k.max(initial=0))
+    renewals = np.concatenate(([0.0], path.events[:cycles]))
+    xi = dist.cumulative_hazard(np.concatenate((np.diff(renewals), np.ravel(ts - renewals[k]))))
+    full = np.zeros(cycles + 1)
+    np.cumsum(xi[:cycles], out=full[1:])
+    out = full[k] + xi[cycles:].reshape(ts.shape)
+    return float(out) if scalar else out
+
+
+def _cycle_hazards_oracle(path, dist):
+    return np.asarray(dist.cumulative_hazard(np.diff(np.concatenate(([0.0], path.events)))), dtype=float)
+
+
+def _scaled_compensator_sup_oracle(path, dist, T, p):
+    e = path.events
+    renewals = np.concatenate(([0.0], e[: int(np.searchsorted(e, T, side="right"))]))
+    taus = np.diff(renewals)
+    best = float(np.max(dist.cumulative_hazard(taus))) if taus.size else 0.0
+    partial = float(dist.cumulative_hazard(T - renewals[-1]))
+    return max(best, partial) / T**p
+
+
+def _scaled_recurrence_sup_oracle(path, T, p):
+    r = path.renewals()
+    if r[0] > 0.0:
+        r = np.concatenate(([0.0], r))
+    idx = int(np.searchsorted(r, T, side="right"))
+    spans = np.diff(r[: idx + 1])
+    completed = spans[:-1]
+    sup_a = max(float(np.max(completed)) if completed.size else 0.0, T - float(r[idx - 1]))
+    scale = T ** (1.0 / p)
+    return sup_a / scale, float(np.max(spans)) / scale
+
+
+def _path_max_statistic_oracle(path, dist, T, statistic):
+    r = path.renewals()
+    taus = np.diff(r[: int(np.searchsorted(r, T, side="right")) + 1])
+    return float(np.max(taus if statistic == "max-tau" else dist.cumulative_hazard(taus)))
+
+
+def _outcome(f, *args):
+    """f(*args) as a float array, or the type of the error it raises."""
+    try:
+        return np.asarray(f(*args), dtype=float)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _assert_same(new, old):
+    if isinstance(old, type):
+        assert new is old
+    else:
+        assert not isinstance(new, type) and np.array_equal(new, old)
+
+
+class TestSpanReaders:
+    @pytest.mark.parametrize("delay", ["zero", "stationary", "fixed"])
+    def test_readers_match_renewals_diff_oracles(self, dist, delay, rng):
+        H = 15.0 * dist.mean()
+        fixed = 0.7 * dist.mean()
+        for _ in range(12):
+            path = simulate_path(dist, H, fixed if delay == "fixed" else delay, rng)
+            at_events = path.events[path.events <= H]
+            # random times, T exactly at an event, before the first event, at the horizon
+            edges = [*at_events[:2], *at_events[-1:], 0.5 * path.events[0], 0.0, H]
+            ts = np.concatenate((np.sort(rng.uniform(0.0, H, 9)), edges))
+            ts = ts[ts <= H]
+            assert np.array_equal(path.interarrivals(), _interarrivals_oracle(path))
+            for t in ts:
+                t = float(t)
+                assert recurrence_times(path, t) == _recurrence_times_oracle(path, t)
+                if t > 0.0:
+                    _assert_same(_outcome(scaled_recurrence_sup, path, t, 3.0),
+                                 _outcome(_scaled_recurrence_sup_oracle, path, t, 3.0))
+                    for stat in ("max-tau", "max-xi"):
+                        _assert_same(_outcome(path_max_statistic, path, dist, t, stat),
+                                     _outcome(_path_max_statistic_oracle, path, dist, t, stat))
+                if path.is_pure:
+                    assert compensator_at(path, dist, t) == _compensator_at_oracle(path, dist, t)
+                    if t > 0.0:
+                        assert scaled_compensator_sup(path, dist, t, 0.5) == _scaled_compensator_sup_oracle(
+                            path, dist, t, 0.5
+                        )
+            if path.is_pure:
+                assert np.array_equal(compensator_at(path, dist, ts), _compensator_at_oracle(path, dist, ts))
+                assert np.array_equal(cycle_hazards(path, dist).xi, _cycle_hazards_oracle(path, dist))
+
+    @pytest.mark.parametrize("delay", [0.0, 1.5])
+    def test_interarrivals_are_read_only(self, delay):
+        path = RenewalPath(delay, np.array([1.5, 2.0, 5.0]) if delay else np.array([2.0, 5.0]), 3.0)
+        assert np.array_equal(path.interarrivals(), [0.5, 3.0] if delay else [2.0, 3.0])
+        with pytest.raises(ValueError):
+            path.interarrivals()[0] = 1.0
 
 
 class TestRootzen:

@@ -165,6 +165,21 @@ class TestSampling:
         res = stats.kstest(x, lambda v: np.asarray(dist.cdf(v)))
         assert res.statistic < 1.36 / math.sqrt(n)
 
+    @pytest.mark.parametrize("seed", [3, 17, 20260809])
+    @pytest.mark.parametrize("size", [0, 1, 13, (3, 5), 338_619])
+    def test_lomax_draw_follows_numpy_pareto(self, seed, size):
+        # the array-pass draw uses numpy's random_pareto formula expm1(E / tail),
+        # so it consumes the stream exactly as rng.pareto does; the values match
+        # only to rounding, because the vectorized np.expm1 loop (SIMD, where
+        # the CPU has it) need not round as the scalar C expm1 does
+        d = ShiftedPareto(3.5, 0.09)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = d._interarrival_draw(a, size)
+        ref = b.pareto(d.tail, size) * d.scale
+        assert a.bit_generator.state == b.bit_generator.state
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
 
 def _stationary_delay_bisect(dist, rng, size=None):
     """Stationary delay draws by bisecting its CDF to 1e-10: the oracle for
