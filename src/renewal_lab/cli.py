@@ -55,11 +55,14 @@ SEED_ENV_VAR = "RENEWAL_LAB_SEED"
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError("config", f"expected a JSON object, got {cfg!r}")
+    return cfg
 
 
 def _resolve_seed(cfg: dict) -> int:
@@ -177,335 +180,324 @@ def main():
     """Numerical renewal-theory experiments with deterministic seeds."""
 
 
-def _common(fn):
-    fn = click.option("--config", "config_path", required=True, type=click.Path())(fn)
-    fn = click.option("--out", "out_dir", default="runs", show_default=True)(fn)
-    fn = click.option("--strict", is_flag=True, help="exit 1 if any check fails")(fn)
-    return fn
+_OPTIONS = (
+    click.option("--config", "config_path", required=True, type=click.Path()),
+    click.option("--out", "out_dir", default="runs", show_default=True),
+    click.option("--strict", is_flag=True, help="exit 1 if any check fails"),
+)
 
 
-def _run_guarded(subcommand, config_path, out_dir, strict, body):
-    try:
-        cfg = _load_config(config_path)
-        runner = Runner(subcommand, cfg, out_dir)
-        body(runner, cfg)
-        passed = runner.finish()
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except RenewalLabError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    if strict and not passed:
-        sys.exit(1)
-    sys.exit(0)
+def _subcommand(*options, name=None):
+    """Register ``fn(runner, cfg, **extra)`` as the subcommand ``name``
+    (default: the function's name), with --config, --out, --strict and
+    ``options``, whose values arrive as ``extra``.
 
+    The command loads the config, runs ``fn`` with a ``Runner`` reporting
+    under the subcommand's name and writes the report; it exits 2 on a
+    ``ConfigError`` or another ``RenewalLabError``, 1 when a check failed
+    under --strict, and 0 otherwise.
+    """
 
-@main.command()
-@_common
-def solve(config_path, out_dir, strict):
-    """Solve the renewal equation for a configured forcing."""
+    def register(fn):
+        subcommand = name or fn.__name__
 
-    def body(runner: Runner, cfg: dict):
-        dist = distribution_from_config(cfg.get("distribution", {}))
-        grid = _resolve_grid(cfg, dist)
-        forcing_cfg = cfg.get("forcing", {"type": "linear"})
-        kind = forcing_cfg.get("type")
-        if kind == "linear":
-            forcing = linear_forcing(dist, grid)
-        elif kind == "power":
-            r = _config_number("forcing.exponent", forcing_cfg.get("exponent", 2.0))
-            forcing = GridFunction.from_callable(grid, lambda x: (1.0 + x) ** (-r))
-        elif kind == "indicator":
-            lo = _config_number("forcing.lo", forcing_cfg.get("lo", 0.0))
-            hi = _config_number("forcing.hi", forcing_cfg.get("hi", 1.0))
-            forcing = GridFunction.from_callable(
-                grid, lambda x: ((x >= lo) & (x <= hi)).astype(float)
-            )
-        else:
-            raise ConfigError("forcing.type", f"unknown forcing {kind!r}")
-        sol = solve_renewal_equation(dist, forcing)
-        sol.Z.to_csv(runner.artifact("Z.csv"))
-        sol.forcing.to_csv(runner.artifact("forcing.csv"))
-        runner.check(
-            CheckResult(None, "solver residual", sol.residual <= 1e-8, {"residual": sol.residual}, "<= 1e-8")
-        )
-        if kind == "linear":
-            runner.check(check_linear_solution(dist, sol))
-
-    _run_guarded("solve", config_path, out_dir, strict, body)
-
-
-@main.command()
-@_common
-def phi(config_path, out_dir, strict):
-    """Compute the renewal measure and its sanity checks."""
-
-    def body(runner: Runner, cfg: dict):
-        dist = distribution_from_config(cfg.get("distribution", {}))
-        grid = _resolve_grid(cfg, dist)
-        measure = renewal_measure(dist, grid)
-        measure.to_csv(runner.artifact("phi.csv"))
-        t_probe = 0.5 * grid.horizon
-        ratio = measure.interval_mass(-1.0, t_probe) / t_probe
-        rel = abs(ratio - dist.rate()) / dist.rate()
-        runner.check(
-            CheckResult(
-                None,
-                "elementary renewal ratio at half horizon",
-                rel < 0.05,
-                {"ratio": ratio, "rate": dist.rate()},
-                "within 5% of the renewal rate",
-            )
-        )
-        if dist.kind == "exponential":
-            runner.check(check_exponential_closed_form(dist, measure))
-
-    _run_guarded("phi", config_path, out_dir, strict, body)
-
-
-@main.command()
-@_common
-def stone(config_path, out_dir, strict):
-    """Decompose the renewal measure into bounded plus absolutely continuous parts."""
-
-    def body(runner: Runner, cfg: dict):
-        from .stone import phi2_tail, stone_decompose
-
-        dist = distribution_from_config(cfg.get("distribution", {}))
-        grid = _resolve_grid(cfg, dist)
-        dec = stone_decompose(dist, grid)
-        dec.phi1.to_csv(runner.artifact("phi1.csv"))
-        dec.phi2.to_csv(runner.artifact("phi2.csv"))
-        tail_xs = np.linspace(0.0, grid.horizon, 101)
-        _write_rows(
-            runner.artifact("phi2_tail.csv"),
-            "x,tail",
-            ((x, phi2_tail(dec, x)) for x in tail_xs),
-        )
-        c = dec.component
-        with open(runner.artifact("component.json"), "w") as fh:
-            json.dump(
-                {"n0": c.n0, "a": c.a, "b": c.b, "mass": c.mass, "level": c.level},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-        runner.check(check_stone_split(dist, dec))
-        runner.check(
-            CheckResult(
-                None,
-                "density cross-check",
-                dec.phi1_crosscheck_dev <= 1e-4,
-                {"rel_sup": dec.phi1_crosscheck_dev},
-                "<= 1e-4 relative",
-            )
-        )
-
-    _run_guarded("stone", config_path, out_dir, strict, body)
-
-
-@main.command()
-@_common
-def bt(config_path, out_dir, strict):
-    """Forward-recurrence laws at configured probe times plus TV distances."""
-
-    def body(runner: Runner, cfg: dict):
-        dist = distribution_from_config(cfg.get("distribution", {}))
-        grid = _resolve_grid(cfg, dist)
-        ts = _read(cfg, "ts", [2.0 * dist.mean(), 10.0 * dist.mean()])
-        measure = renewal_measure(dist, grid)
-        x_grid = default_recurrence_grid(dist, grid.step)
-        rows = []
-        for i, t in enumerate(ts):
-            cdf = forward_recurrence_cdf(dist, t, x_grid, phi=measure)
-            cdf.to_csv(runner.artifact(f"bt_cdf_{i}.csv"))
-            diagnostics = {}
-            tv = tv_to_stationary(dist, t, x_grid, phi=measure, diagnostics=diagnostics)
-            rows.append((t, tv))
-            # the read is O(h^2) accurate: clipping to [0, 1] and the
-            # monotonizing step must move it by no more than that
-            runner.check(
-                CheckResult(
-                    None,
-                    f"recurrence CDF at t={t:g} needs no clip correction beyond h^2",
-                    diagnostics["clip_correction"] <= grid.step**2,
-                    {"clip_correction": diagnostics["clip_correction"], "final_value": float(cdf.values[-1])},
-                    f"clip correction <= h^2 = {grid.step**2:g}",
-                )
-            )
-        _write_rows(runner.artifact("tv.csv"), "t,tv_to_stationary", rows)
-
-    _run_guarded("bt", config_path, out_dir, strict, body)
-
-
-@main.command()
-@_common
-def couple(config_path, out_dir, strict):
-    """Simulate the pure/stationary coupling and its trial-count law."""
-
-    def body(runner: Runner, cfg: dict):
-        dist = distribution_from_config(cfg.get("distribution", {}))
-        grid = _resolve_grid(cfg, dist)
-        n_traces = _read(cfg, "n_traces", 2000)
-        measure = renewal_measure(dist, grid)
-        params = find_common_component(dist, phi=measure)
-        traces = [
-            simulate_coupling(dist, params, _task_rng(runner.seed, i), phi=measure) for i in range(n_traces)
-        ]
-
-        with open(runner.artifact("traces.csv"), "w") as fh:
-            fh.write("trace,k,eta,eta_hat,beta,beta_hat,indicator\n")
-            for i, tr in enumerate(traces):
-                for k in range(len(tr.indicators)):
-                    fh.write(
-                        f"{i},{k},{float(tr.eta[k, 0])!r},{float(tr.eta[k, 1])!r},"
-                        f"{float(tr.beta[k, 0])!r},{float(tr.beta[k, 1])!r},{int(tr.indicators[k])}\n"
-                    )
-        with open(runner.artifact("summary.json"), "w") as fh:
-            json.dump(
-                {
-                    "params": {"b": params.b, "d": params.d, "delta": params.delta},
-                    "traces": [
-                        {"sigma": int(tr.sigma), "coupling_time": tr.coupling_time} for tr in traces
-                    ],
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-
-        sig = np.array([tr.sigma for tr in traces])
-        d2 = params.delta**2
-        p0 = float(np.mean(sig == 0))
-        band = 3.0 * math.sqrt(d2 * (1 - d2) / n_traces)
-        runner.check(
-            CheckResult(
-                None,
-                "first-trial acceptance frequency",
-                abs(p0 - d2) <= band,
-                {"p_sigma_0": p0, "delta_sq": d2},
-                f"|p - delta^2| <= {band:g}",
-            )
-        )
-        ts = _read(cfg, "t_checks", [5.0 * dist.mean()])
-        # the tail estimate behind the inequality needs >= 1000 traces
-        if ts and n_traces >= 1000:
-            runner.check(check_coupling_inequality(dist, traces, measure, ts))
-
-    _run_guarded("couple", config_path, out_dir, strict, body)
-
-
-@main.command()
-@_common
-def compensator(config_path, out_dir, strict):
-    """Martingale centering and cycle-hazard law from simulated paths."""
-
-    def body(runner: Runner, cfg: dict):
-        dist = distribution_from_config(cfg.get("distribution", {}))
-        n_paths = _read(cfg, "n_paths", 2000)
-        mults = _read(cfg, "t_means", [5.0, 20.0])
-        # the paths run to the last time, so there must be one and all be > 0
-        if not mults or min(mults) <= 0.0:
-            raise ConfigError("t_means", f"expected one or more positive multiples of the mean, got {mults}")
-        horizon = max(mults) * dist.mean()
-        paths = [simulate_path(dist, horizon, "zero", _task_rng(runner.seed, i)) for i in range(n_paths)]
-        if cfg.get("dump_paths", False):
-            with open(runner.artifact("paths.csv"), "w") as fh:
-                fh.write("path,event_time\n")
-                for i, path in enumerate(paths[:50]):
-                    for t in path.events:
-                        fh.write(f"{i},{float(t)!r}\n")
-
-        shown = [martingale_residuals(path, dist, mults) for path in paths[:8]]
-        _write_rows(
-            runner.artifact("martingale.csv"),
-            "t," + ",".join(f"path{i}" for i in range(len(shown))),
-            ((m * dist.mean(), *(r[j] for r in shown)) for j, m in enumerate(mults)),
-        )
-        for result in check_compensator(dist, paths, mults):
-            runner.check(result)
-
-    _run_guarded("compensator", config_path, out_dir, strict, body)
-
-
-@main.command()
-@_common
-def krt(config_path, out_dir, strict):
-    """Limit-error curve of the renewal convolution and its slope fit."""
-
-    def body(runner: Runner, cfg: dict):
-        dist = distribution_from_config(cfg.get("distribution", {}))
-        grid = _resolve_grid(cfg, dist)
-        r_z = _read(cfg, "z_exponent", 2.0)
-        q = _read(cfg, "q", 2.0)
-        mean = dist.mean()
-        lo = _read(cfg, "window_lo_means", 20.0) * mean
-        hi = _read(cfg, "window_hi_means", 80.0) * mean
-        if hi >= grid.horizon:
-            raise ConfigError("grid.horizon", f"must exceed the fit window end {hi:g}")
-        xs = np.geomspace(lo, hi, _read(cfg, "n_points", 24))
-        measure = renewal_measure(dist, grid)
-        z_fn = lambda y: (1.0 + np.asarray(y)) ** (-r_z)
-        curve = krt_error_curve(dist, z_fn, r_z, xs, grid=grid, phi=measure)
-        _write_rows(runner.artifact("krt_curve.csv"), "x,err", zip(curve.xs, curve.errs))
-        fit = krt_fit(curve, (lo, hi), _read(cfg, "floor", 0.0))
-        if fit is not None:
-            with open(runner.artifact("krt_fit.json"), "w") as fh:
-                json.dump(
-                    {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2, "n_points": fit.n_points},
-                    fh,
-                    indent=2,
-                    sort_keys=True,
-                )
-        runner.check(check_krt_slopes(dist, r_z, [fit], q))
-
-    _run_guarded("krt", config_path, out_dir, strict, body)
-
-
-@main.command()
-@_common
-def rootzen(config_path, out_dir, strict):
-    """Uniform error of the cycle-maximum power approximation across horizons."""
-
-    def body(runner: Runner, cfg: dict):
-        dist = distribution_from_config(cfg.get("distribution", {}))
-        statistic = cfg.get("statistic", "max-xi")
-        t_list = _read(cfg, "T_list", [20.0, 200.0])
-        # a shrinking error needs two horizons, and paths need a horizon > 0
-        if len(t_list) < 2 or min(t_list) <= 0.0:
-            raise ConfigError("T_list", f"expected two or more positive horizons, got {t_list}")
-        n_paths = _read(cfg, "n_paths", 2000)
-        errs = []
-        for j, T in enumerate(t_list):
-            rng = _task_rng(runner.seed, j)
-            errs.append(rootzen_uniform_error(dist, T, n_paths, statistic, rng))
-        _write_rows(runner.artifact("rootzen.csv"), "T,sup_error", zip(t_list, errs))
-        runner.check(check_rootzen_shrinks(dist, t_list, errs, n_paths))
-
-    _run_guarded("rootzen", config_path, out_dir, strict, body)
-
-
-@main.command(name="all")
-@_common
-@click.option("--criteria", default="", help="comma-separated subset, e.g. 1,2,5")
-def run_all(config_path, out_dir, strict, criteria):
-    """Run the full acceptance suite and write its report."""
-
-    def body(runner: Runner, cfg: dict):
-        subset = None
-        if criteria:
+        def command(config_path, out_dir, strict, **extra):
             try:
-                subset = sorted({int(c) for c in criteria.split(",")})
-            except ValueError:
-                raise ConfigError("criteria", f"expected integers, got {criteria!r}") from None
-            unknown = [c for c in subset if c not in CRITERIA]
-            if unknown:
-                raise ConfigError("criteria", f"unknown criteria {unknown}; valid: 1..12")
-        for result in run_acceptance(seed=runner.seed, criteria=subset):
-            runner.check(result)
+                cfg = _load_config(config_path)
+                runner = Runner(subcommand, cfg, out_dir)
+                fn(runner, cfg, **extra)
+                passed = runner.finish()
+            except ConfigError as exc:
+                click.echo(f"config error: {exc}", err=True)
+                sys.exit(2)
+            except RenewalLabError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
+            sys.exit(1 if strict and not passed else 0)
 
-    _run_guarded("all", config_path, out_dir, strict, body)
+        # click lists the options in the reverse order of application
+        for option in reversed((*_OPTIONS, *options)):
+            command = option(command)
+        return main.command(name=subcommand, help=fn.__doc__)(command)
+
+    return register
+
+
+@_subcommand()
+def solve(runner: Runner, cfg: dict):
+    """Solve the renewal equation for a configured forcing."""
+    dist = distribution_from_config(cfg.get("distribution", {}))
+    grid = _resolve_grid(cfg, dist)
+    forcing_cfg = cfg.get("forcing", {"type": "linear"})
+    if not isinstance(forcing_cfg, dict):
+        raise ConfigError("forcing", f"expected an object, got {forcing_cfg!r}")
+    kind = forcing_cfg.get("type")
+    if kind == "linear":
+        forcing = linear_forcing(dist, grid)
+    elif kind == "power":
+        r = _config_number("forcing.exponent", forcing_cfg.get("exponent", 2.0))
+        forcing = GridFunction.from_callable(grid, lambda x: (1.0 + x) ** (-r))
+    elif kind == "indicator":
+        lo = _config_number("forcing.lo", forcing_cfg.get("lo", 0.0))
+        hi = _config_number("forcing.hi", forcing_cfg.get("hi", 1.0))
+        forcing = GridFunction.from_callable(
+            grid, lambda x: ((x >= lo) & (x <= hi)).astype(float)
+        )
+    else:
+        raise ConfigError("forcing.type", f"unknown forcing {kind!r}")
+    sol = solve_renewal_equation(dist, forcing)
+    sol.Z.to_csv(runner.artifact("Z.csv"))
+    sol.forcing.to_csv(runner.artifact("forcing.csv"))
+    runner.check(
+        CheckResult(None, "solver residual", sol.residual <= 1e-8, {"residual": sol.residual}, "<= 1e-8")
+    )
+    if kind == "linear":
+        runner.check(check_linear_solution(dist, sol))
+
+
+@_subcommand()
+def phi(runner: Runner, cfg: dict):
+    """Compute the renewal measure and its sanity checks."""
+    dist = distribution_from_config(cfg.get("distribution", {}))
+    grid = _resolve_grid(cfg, dist)
+    measure = renewal_measure(dist, grid)
+    measure.to_csv(runner.artifact("phi.csv"))
+    t_probe = 0.5 * grid.horizon
+    ratio = measure.interval_mass(-1.0, t_probe) / t_probe
+    rel = abs(ratio - dist.rate()) / dist.rate()
+    runner.check(
+        CheckResult(
+            None,
+            "elementary renewal ratio at half horizon",
+            rel < 0.05,
+            {"ratio": ratio, "rate": dist.rate()},
+            "within 5% of the renewal rate",
+        )
+    )
+    if dist.kind == "exponential":
+        runner.check(check_exponential_closed_form(dist, measure))
+
+
+@_subcommand()
+def stone(runner: Runner, cfg: dict):
+    """Decompose the renewal measure into bounded plus absolutely continuous parts."""
+    from .stone import phi2_tail, stone_decompose
+
+    dist = distribution_from_config(cfg.get("distribution", {}))
+    grid = _resolve_grid(cfg, dist)
+    dec = stone_decompose(dist, grid)
+    dec.phi1.to_csv(runner.artifact("phi1.csv"))
+    dec.phi2.to_csv(runner.artifact("phi2.csv"))
+    tail_xs = np.linspace(0.0, grid.horizon, 101)
+    _write_rows(
+        runner.artifact("phi2_tail.csv"),
+        "x,tail",
+        ((x, phi2_tail(dec, x)) for x in tail_xs),
+    )
+    c = dec.component
+    with open(runner.artifact("component.json"), "w") as fh:
+        json.dump(
+            {"n0": c.n0, "a": c.a, "b": c.b, "mass": c.mass, "level": c.level},
+            fh,
+            indent=2,
+            sort_keys=True,
+        )
+    runner.check(check_stone_split(dist, dec))
+    runner.check(
+        CheckResult(
+            None,
+            "density cross-check",
+            dec.phi1_crosscheck_dev <= 1e-4,
+            {"rel_sup": dec.phi1_crosscheck_dev},
+            "<= 1e-4 relative",
+        )
+    )
+
+
+@_subcommand()
+def bt(runner: Runner, cfg: dict):
+    """Forward-recurrence laws at configured probe times plus TV distances."""
+    dist = distribution_from_config(cfg.get("distribution", {}))
+    grid = _resolve_grid(cfg, dist)
+    ts = _read(cfg, "ts", [2.0 * dist.mean(), 10.0 * dist.mean()])
+    measure = renewal_measure(dist, grid)
+    x_grid = default_recurrence_grid(dist, grid.step)
+    rows = []
+    for i, t in enumerate(ts):
+        cdf = forward_recurrence_cdf(dist, t, x_grid, phi=measure)
+        cdf.to_csv(runner.artifact(f"bt_cdf_{i}.csv"))
+        diagnostics = {}
+        tv = tv_to_stationary(dist, t, x_grid, phi=measure, diagnostics=diagnostics)
+        rows.append((t, tv))
+        # the read is O(h^2) accurate: clipping to [0, 1] and the
+        # monotonizing step must move it by no more than that
+        runner.check(
+            CheckResult(
+                None,
+                f"recurrence CDF at t={t:g} needs no clip correction beyond h^2",
+                diagnostics["clip_correction"] <= grid.step**2,
+                {"clip_correction": diagnostics["clip_correction"], "final_value": float(cdf.values[-1])},
+                f"clip correction <= h^2 = {grid.step**2:g}",
+            )
+        )
+    _write_rows(runner.artifact("tv.csv"), "t,tv_to_stationary", rows)
+
+
+@_subcommand()
+def couple(runner: Runner, cfg: dict):
+    """Simulate the pure/stationary coupling and its trial-count law."""
+    dist = distribution_from_config(cfg.get("distribution", {}))
+    grid = _resolve_grid(cfg, dist)
+    n_traces = _read(cfg, "n_traces", 2000)
+    measure = renewal_measure(dist, grid)
+    params = find_common_component(dist, phi=measure)
+    traces = [
+        simulate_coupling(dist, params, _task_rng(runner.seed, i), phi=measure) for i in range(n_traces)
+    ]
+
+    with open(runner.artifact("traces.csv"), "w") as fh:
+        fh.write("trace,k,eta,eta_hat,beta,beta_hat,indicator\n")
+        for i, tr in enumerate(traces):
+            for k in range(len(tr.indicators)):
+                fh.write(
+                    f"{i},{k},{float(tr.eta[k, 0])!r},{float(tr.eta[k, 1])!r},"
+                    f"{float(tr.beta[k, 0])!r},{float(tr.beta[k, 1])!r},{int(tr.indicators[k])}\n"
+                )
+    with open(runner.artifact("summary.json"), "w") as fh:
+        json.dump(
+            {
+                "params": {"b": params.b, "d": params.d, "delta": params.delta},
+                "traces": [
+                    {"sigma": int(tr.sigma), "coupling_time": tr.coupling_time} for tr in traces
+                ],
+            },
+            fh,
+            indent=2,
+            sort_keys=True,
+        )
+
+    sig = np.array([tr.sigma for tr in traces])
+    d2 = params.delta**2
+    p0 = float(np.mean(sig == 0))
+    band = 3.0 * math.sqrt(d2 * (1 - d2) / n_traces)
+    runner.check(
+        CheckResult(
+            None,
+            "first-trial acceptance frequency",
+            abs(p0 - d2) <= band,
+            {"p_sigma_0": p0, "delta_sq": d2},
+            f"|p - delta^2| <= {band:g}",
+        )
+    )
+    ts = _read(cfg, "t_checks", [5.0 * dist.mean()])
+    # the tail estimate behind the inequality needs >= 1000 traces
+    if ts and n_traces >= 1000:
+        runner.check(check_coupling_inequality(dist, traces, measure, ts))
+
+
+@_subcommand()
+def compensator(runner: Runner, cfg: dict):
+    """Martingale centering and cycle-hazard law from simulated paths."""
+    dist = distribution_from_config(cfg.get("distribution", {}))
+    n_paths = _read(cfg, "n_paths", 2000)
+    mults = _read(cfg, "t_means", [5.0, 20.0])
+    # the paths run to the last time, so there must be one and all be > 0
+    if not mults or min(mults) <= 0.0:
+        raise ConfigError("t_means", f"expected one or more positive multiples of the mean, got {mults}")
+    dump_paths = cfg.get("dump_paths", False)
+    if not isinstance(dump_paths, bool):
+        raise ConfigError("dump_paths", f"expected true or false, got {dump_paths!r}")
+    horizon = max(mults) * dist.mean()
+    paths = [simulate_path(dist, horizon, "zero", _task_rng(runner.seed, i)) for i in range(n_paths)]
+    if dump_paths:
+        with open(runner.artifact("paths.csv"), "w") as fh:
+            fh.write("path,event_time\n")
+            for i, path in enumerate(paths[:50]):
+                for t in path.events:
+                    fh.write(f"{i},{float(t)!r}\n")
+
+    shown = [martingale_residuals(path, dist, mults) for path in paths[:8]]
+    _write_rows(
+        runner.artifact("martingale.csv"),
+        "t," + ",".join(f"path{i}" for i in range(len(shown))),
+        ((m * dist.mean(), *(r[j] for r in shown)) for j, m in enumerate(mults)),
+    )
+    for result in check_compensator(dist, paths, mults):
+        runner.check(result)
+
+
+@_subcommand()
+def krt(runner: Runner, cfg: dict):
+    """Limit-error curve of the renewal convolution and its slope fit."""
+    dist = distribution_from_config(cfg.get("distribution", {}))
+    grid = _resolve_grid(cfg, dist)
+    r_z = _read(cfg, "z_exponent", 2.0)
+    # the analytic tail of the limit integral, z(s)(1+s)/(r-1), needs r > 1
+    if r_z <= 1.0:
+        raise ConfigError("z_exponent", f"expected a number > 1, got {r_z}")
+    q = _read(cfg, "q", 2.0)
+    lo_means = _read(cfg, "window_lo_means", 20.0)
+    hi_means = _read(cfg, "window_hi_means", 80.0)
+    if not 0.0 < lo_means < hi_means:
+        raise ConfigError(
+            "window_lo_means", f"expected 0 < window_lo_means < window_hi_means, got {lo_means} and {hi_means}"
+        )
+    mean = dist.mean()
+    lo = lo_means * mean
+    hi = hi_means * mean
+    if hi >= grid.horizon:
+        raise ConfigError("grid.horizon", f"must exceed the fit window end {hi:g}")
+    xs = np.geomspace(lo, hi, _read(cfg, "n_points", 24))
+    measure = renewal_measure(dist, grid)
+    z_fn = lambda y: (1.0 + np.asarray(y)) ** (-r_z)
+    curve = krt_error_curve(dist, z_fn, r_z, xs, grid=grid, phi=measure)
+    _write_rows(runner.artifact("krt_curve.csv"), "x,err", zip(curve.xs, curve.errs))
+    fit = krt_fit(curve, (lo, hi), _read(cfg, "floor", 0.0))
+    if fit is not None:
+        with open(runner.artifact("krt_fit.json"), "w") as fh:
+            json.dump(
+                {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2, "n_points": fit.n_points},
+                fh,
+                indent=2,
+                sort_keys=True,
+            )
+    runner.check(check_krt_slopes(dist, r_z, [fit], q))
+
+
+@_subcommand()
+def rootzen(runner: Runner, cfg: dict):
+    """Uniform error of the cycle-maximum power approximation across horizons."""
+    dist = distribution_from_config(cfg.get("distribution", {}))
+    statistic = cfg.get("statistic", "max-xi")
+    if statistic not in ("max-xi", "max-tau"):
+        raise ConfigError("statistic", f'expected "max-xi" or "max-tau", got {statistic!r}')
+    t_list = _read(cfg, "T_list", [20.0, 200.0])
+    # a shrinking error needs two horizons, and paths need a horizon > 0
+    if len(t_list) < 2 or min(t_list) <= 0.0:
+        raise ConfigError("T_list", f"expected two or more positive horizons, got {t_list}")
+    n_paths = _read(cfg, "n_paths", 2000)
+    errs = []
+    for j, T in enumerate(t_list):
+        rng = _task_rng(runner.seed, j)
+        errs.append(rootzen_uniform_error(dist, T, n_paths, statistic, rng))
+    _write_rows(runner.artifact("rootzen.csv"), "T,sup_error", zip(t_list, errs))
+    runner.check(check_rootzen_shrinks(dist, t_list, errs, n_paths))
+
+
+@_subcommand(click.option("--criteria", default="", help="comma-separated subset, e.g. 1,2,5"), name="all")
+def run_all(runner: Runner, cfg: dict, criteria: str):
+    """Run the full acceptance suite and write its report."""
+    subset = None
+    if criteria:
+        try:
+            subset = sorted({int(c) for c in criteria.split(",")})
+        except ValueError:
+            raise ConfigError("criteria", f"expected integers, got {criteria!r}") from None
+        unknown = [c for c in subset if c not in CRITERIA]
+        if unknown:
+            raise ConfigError("criteria", f"unknown criteria {unknown}; valid: 1..12")
+    for result in run_acceptance(seed=runner.seed, criteria=subset):
+        runner.check(result)
 
 
 if __name__ == "__main__":

@@ -120,13 +120,6 @@ _LATTICE_STEP = 0.5
 _MAX_STEPS = 10_000
 
 
-def _lattice_densities(dist, phi, t_points, x_grid: Grid) -> np.ndarray:
-    rows = []
-    for t in t_points:
-        rows.append(forward_recurrence_density(dist, t, x_grid, phi=phi).values)
-    return np.asarray(rows)
-
-
 def find_common_component(dist: Distribution, *, phi: GridMeasure) -> CouplingParams:
     """Numerically locate (b, d, delta) for the common uniform component.
 
@@ -146,7 +139,7 @@ def find_common_component(dist: Distribution, *, phi: GridMeasure) -> CouplingPa
     b_candidates = [0.25 * mean, 0.5 * mean, 1.0 * mean]
     b_max = max(b_candidates)
     x_grid = Grid(h, max(2, int(math.ceil(b_max / h))))
-    dens = _lattice_densities(dist, phi, t_points, x_grid)
+    dens = np.asarray([forward_recurrence_density(dist, t, x_grid, phi=phi).values for t in t_points])
     pi = np.asarray(dist.stationary_delay_density(x_grid.nodes()), dtype=float)
 
     # stabilization of the recurrence law toward the stationary density

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,24 +44,46 @@ class MomentReport:
         return math.isfinite(self.value)
 
 
+def _scalar(out):
+    """A float for 0-d output; arrays pass through."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 class Distribution(ABC):
     """A positive interarrival law with density, no atom at 0, finite mean."""
 
     kind: str
+    # the config names of the dataclass fields, in field order
+    config_fields: tuple[str, ...]
 
     # -- core analytic functions -------------------------------------------
+    # A float in gives a float out; an array keeps its shape.  Each kind
+    # supplies the formula on a float array as ``_density``, ``_cdf`` and
+    # ``_quantile``.
 
-    @abstractmethod
     def density(self, x):
         """Density f(x); 0 for x < 0."""
+        return _scalar(self._density(np.asarray(x, dtype=float)))
 
-    @abstractmethod
     def cdf(self, x):
         """F(x) = P(tau <= x); 0 for x < 0."""
+        return _scalar(self._cdf(np.asarray(x, dtype=float)))
 
-    @abstractmethod
     def quantile(self, u):
         """Inverse CDF, u in [0, 1)."""
+        return _scalar(self._quantile(np.asarray(u, dtype=float)))
+
+    @abstractmethod
+    def _density(self, x):
+        ...
+
+    @abstractmethod
+    def _cdf(self, x):
+        ...
+
+    @abstractmethod
+    def _quantile(self, u):
+        ...
 
     @abstractmethod
     def moment(self, order: float) -> MomentReport:
@@ -83,25 +106,23 @@ class Distribution(ABC):
     def hazard(self, x):
         """mu(x) = f(x) / (1 - F(x)); fails where the support is exhausted."""
         x = np.asarray(x, dtype=float)
-        sf = 1.0 - self.cdf(x)
+        sf = 1.0 - self._cdf(x)
         if np.any(sf <= 0.0):
             raise SupportExhaustedError(
                 f"hazard undefined at x >= {self.support_end():g} for {self.kind}"
             )
-        out = self.density(x) / sf
-        return float(out) if np.ndim(out) == 0 else out
+        return _scalar(self._density(x) / sf)
 
     def cumulative_hazard(self, x):
         """-log(1 - F(x)); nondecreasing, equals the integrated hazard."""
         x = np.asarray(x, dtype=float)
-        cdf = self.cdf(x)
+        cdf = self._cdf(x)
         if np.any(cdf >= 1.0):
             raise SupportExhaustedError(
                 f"cumulative hazard diverges at x >= {self.support_end():g} "
                 f"for {self.kind}"
             )
-        out = -np.log1p(-cdf)
-        return float(out) if np.ndim(out) == 0 else out
+        return _scalar(-np.log1p(-cdf))
 
     # -- sampling -----------------------------------------------------------
 
@@ -120,15 +141,13 @@ class Distribution(ABC):
     def stationary_delay_density(self, x):
         """pi(x) = m (1 - F(x)), the delay density that makes increments stationary."""
         x = np.asarray(x, dtype=float)
-        out = np.where(x < 0.0, 0.0, self.rate() * (1.0 - self.cdf(x)))
-        return float(out) if np.ndim(out) == 0 else out
+        return _scalar(np.where(x < 0.0, 0.0, self.rate() * (1.0 - self._cdf(x))))
 
     def stationary_delay_cdf(self, x):
         """Integral of the stationary delay density: m * int_0^x (1-F)."""
         x = np.asarray(x, dtype=float)
         out = np.clip(self._stationary_cdf_impl(np.maximum(x, 0.0)), 0.0, 1.0)
-        out = np.where(x < 0.0, 0.0, out)
-        return float(out) if np.ndim(out) == 0 else out
+        return _scalar(np.where(x < 0.0, 0.0, out))
 
     @abstractmethod
     def _stationary_cdf_impl(self, x):
@@ -152,9 +171,10 @@ class Distribution(ABC):
 
     # -- config round trip ----------------------------------------------------
 
-    @abstractmethod
     def to_config(self) -> dict:
-        ...
+        """The JSON form that ``distribution_from_config`` reads back."""
+        values = (getattr(self, f.name) for f in dataclasses.fields(self))
+        return {"kind": self.kind, **dict(zip(self.config_fields, values))}
 
     def __repr__(self) -> str:  # pragma: no cover
         fields = ", ".join(f"{k}={v:g}" for k, v in self.to_config().items() if k != "kind")
@@ -166,25 +186,20 @@ class Exponential(Distribution):
     rate_: float
 
     kind = "exponential"
+    config_fields = ("rate",)
 
     def __post_init__(self):
         if not self.rate_ > 0.0:
             raise ValueError(f"exponential rate must be > 0, got {self.rate_}")
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < 0.0, 0.0, self.rate_ * np.exp(-self.rate_ * np.maximum(x, 0.0)))
-        return float(out) if np.ndim(out) == 0 else out
+    def _density(self, x):
+        return np.where(x < 0.0, 0.0, self.rate_ * np.exp(-self.rate_ * np.maximum(x, 0.0)))
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < 0.0, 0.0, -np.expm1(-self.rate_ * np.maximum(x, 0.0)))
-        return float(out) if np.ndim(out) == 0 else out
+    def _cdf(self, x):
+        return np.where(x < 0.0, 0.0, -np.expm1(-self.rate_ * np.maximum(x, 0.0)))
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        out = -np.log1p(-u) / self.rate_
-        return float(out) if np.ndim(out) == 0 else out
+    def _quantile(self, u):
+        return -np.log1p(-u) / self.rate_
 
     def mean(self) -> float:
         return 1.0 / self.rate_
@@ -195,16 +210,13 @@ class Exponential(Distribution):
 
     def _stationary_cdf_impl(self, x):
         # memorylessness: the stationary delay law coincides with F
-        return self.cdf(x)
+        return self._cdf(x)
 
     def _interarrival_draw(self, rng, size):
         return rng.exponential(1.0 / self.rate_, size)
 
     def _stationary_delay_draw(self, rng, size):
         return rng.exponential(1.0 / self.rate_, size)
-
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "rate": self.rate_}
 
 
 @dataclass(frozen=True, repr=False)
@@ -213,6 +225,7 @@ class Gamma(Distribution):
     rate_: float
 
     kind = "gamma"
+    config_fields = ("shape", "rate")
 
     def __post_init__(self):
         if not self.shape >= 1.0:
@@ -220,8 +233,7 @@ class Gamma(Distribution):
         if not self.rate_ > 0.0:
             raise ValueError(f"gamma rate must be > 0, got {self.rate_}")
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
+    def _density(self, x):
         pos = x > 0.0
         xp = np.where(pos, x, 1.0)
         log_pdf = (
@@ -233,17 +245,13 @@ class Gamma(Distribution):
         out = np.where(pos, np.exp(log_pdf), 0.0)
         if self.shape == 1.0:
             out = np.where(x == 0.0, self.rate_, out)
-        return float(out) if np.ndim(out) == 0 else out
+        return out
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < 0.0, 0.0, gammainc(self.shape, self.rate_ * np.maximum(x, 0.0)))
-        return float(out) if np.ndim(out) == 0 else out
+    def _cdf(self, x):
+        return np.where(x < 0.0, 0.0, gammainc(self.shape, self.rate_ * np.maximum(x, 0.0)))
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        out = gammaincinv(self.shape, u) / self.rate_
-        return float(out) if np.ndim(out) == 0 else out
+    def _quantile(self, u):
+        return gammaincinv(self.shape, u) / self.rate_
 
     def mean(self) -> float:
         return self.shape / self.rate_
@@ -254,7 +262,6 @@ class Gamma(Distribution):
 
     def _stationary_cdf_impl(self, x):
         # integrate by parts: int_0^x (1-F) = x(1-F(x)) + int_0^x u f(u) du
-        x = np.asarray(x, dtype=float)
         partial_mean = (self.shape / self.rate_) * gammainc(self.shape + 1.0, self.rate_ * x)
         return self.rate_ / self.shape * (x * (1.0 - gammainc(self.shape, self.rate_ * x)) + partial_mean)
 
@@ -265,9 +272,6 @@ class Gamma(Distribution):
         # the size-biased Gamma(k, rate) law is Gamma(k + 1, rate)
         return rng.random(size) * rng.gamma(self.shape + 1.0, 1.0 / self.rate_, size)
 
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "shape": self.shape, "rate": self.rate_}
-
 
 @dataclass(frozen=True, repr=False)
 class Uniform(Distribution):
@@ -275,6 +279,7 @@ class Uniform(Distribution):
     hi: float
 
     kind = "uniform"
+    config_fields = ("lo", "hi")
 
     def __post_init__(self):
         if not self.lo >= 0.0:
@@ -287,22 +292,16 @@ class Uniform(Distribution):
     def support_end(self) -> float:
         return self.hi
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
+    def _density(self, x):
         inside = (x >= self.lo) & (x <= self.hi)
-        out = np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         out = np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        out = np.where(x < 0.0, 0.0, out)
-        return float(out) if np.ndim(out) == 0 else out
+        return np.where(x < 0.0, 0.0, out)
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        out = self.lo + u * (self.hi - self.lo)
-        return float(out) if np.ndim(out) == 0 else out
+    def _quantile(self, u):
+        return self.lo + u * (self.hi - self.lo)
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -313,7 +312,6 @@ class Uniform(Distribution):
         return MomentReport(order, value)
 
     def _stationary_cdf_impl(self, x):
-        x = np.asarray(x, dtype=float)
         m = self.rate()
         width = self.hi - self.lo
         below = m * x
@@ -329,9 +327,6 @@ class Uniform(Distribution):
         v = rng.random(size)
         return u * np.sqrt(self.lo**2 + v * (self.hi**2 - self.lo**2))
 
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True, repr=False)
 class ShiftedPareto(Distribution):
@@ -341,6 +336,7 @@ class ShiftedPareto(Distribution):
     scale: float
 
     kind = "shifted-pareto"
+    config_fields = ("tail", "scale")
 
     def __post_init__(self):
         if not self.tail > 1.0:
@@ -348,21 +344,15 @@ class ShiftedPareto(Distribution):
         if not self.scale > 0.0:
             raise ValueError(f"shifted-pareto scale must be > 0, got {self.scale}")
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
+    def _density(self, x):
         r, c = self.tail, self.scale
-        out = np.where(x < 0.0, 0.0, r / c * np.power(1.0 + np.maximum(x, 0.0) / c, -r - 1.0))
-        return float(out) if np.ndim(out) == 0 else out
+        return np.where(x < 0.0, 0.0, r / c * np.power(1.0 + np.maximum(x, 0.0) / c, -r - 1.0))
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < 0.0, 0.0, 1.0 - np.power(1.0 + np.maximum(x, 0.0) / self.scale, -self.tail))
-        return float(out) if np.ndim(out) == 0 else out
+    def _cdf(self, x):
+        return np.where(x < 0.0, 0.0, 1.0 - np.power(1.0 + np.maximum(x, 0.0) / self.scale, -self.tail))
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        out = self.scale * (np.power(1.0 - u, -1.0 / self.tail) - 1.0)
-        return float(out) if np.ndim(out) == 0 else out
+    def _quantile(self, u):
+        return self.scale * (np.power(1.0 - u, -1.0 / self.tail) - 1.0)
 
     def mean(self) -> float:
         return self.scale / (self.tail - 1.0)
@@ -375,7 +365,6 @@ class ShiftedPareto(Distribution):
 
     def _stationary_cdf_impl(self, x):
         # the equilibrium law of a Lomax(r, c) is Lomax(r-1, c)
-        x = np.asarray(x, dtype=float)
         return 1.0 - np.power(1.0 + x / self.scale, -(self.tail - 1.0))
 
     def _interarrival_draw(self, rng, size):
@@ -395,16 +384,8 @@ class ShiftedPareto(Distribution):
     def _stationary_delay_draw(self, rng, size):
         return self.scale * rng.pareto(self.tail - 1.0, size)
 
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "tail": self.tail, "scale": self.scale}
 
-
-_REQUIRED_FIELDS = {
-    "exponential": ("rate",),
-    "gamma": ("shape", "rate"),
-    "uniform": ("lo", "hi"),
-    "shifted-pareto": ("tail", "scale"),
-}
+_KINDS = {cls.kind: cls for cls in (Exponential, Gamma, Uniform, ShiftedPareto)}
 
 
 def _config_number(field: str, value) -> float:
@@ -420,24 +401,18 @@ def distribution_from_config(cfg: dict) -> Distribution:
     if not isinstance(cfg, dict):
         raise ConfigError("distribution", "expected an object")
     kind = cfg.get("kind")
-    if kind not in _REQUIRED_FIELDS:
-        raise ConfigError("distribution.kind", f"unknown kind {kind!r}; expected one of {sorted(_REQUIRED_FIELDS)}")
-    fields = _REQUIRED_FIELDS[kind]
-    extra = set(cfg) - {"kind", *fields}
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError("distribution.kind", f"unknown kind {kind!r}; expected one of {sorted(_KINDS)}")
+    cls = _KINDS[kind]
+    extra = set(cfg) - {"kind", *cls.config_fields}
     if extra:
         raise ConfigError("distribution", f"unexpected fields {sorted(extra)} for kind {kind!r}")
     values = []
-    for name in fields:
+    for name in cls.config_fields:
         if name not in cfg:
             raise ConfigError(f"distribution.{name}", f"required for kind {kind!r}")
         values.append(_config_number(f"distribution.{name}", cfg[name]))
     try:
-        if kind == "exponential":
-            return Exponential(*values)
-        if kind == "gamma":
-            return Gamma(*values)
-        if kind == "uniform":
-            return Uniform(*values)
-        return ShiftedPareto(*values)
+        return cls(*values)
     except ValueError as exc:
         raise ConfigError("distribution", str(exc)) from None

@@ -89,9 +89,6 @@ class GridFunction:
         if not np.all(np.isfinite(values)):
             raise ValueError("grid function values must be finite")
 
-    def integral(self) -> float:
-        return float(np.trapezoid(self.values, dx=self.grid.step))
-
     @staticmethod
     def from_callable(grid: Grid, fn) -> "GridFunction":
         return GridFunction(grid, np.asarray(fn(grid.nodes()), dtype=float))

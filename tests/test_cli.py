@@ -99,16 +99,79 @@ _BAD_NUMBERS = {
     "n-paths-negative": ("compensator", {"n_paths": -5}, "n_paths"),
     "t-list-one-horizon": ("rootzen", {"T_list": [20.0]}, "T_list"),
     "t-list-negative": ("rootzen", {"T_list": [-5.0, 20.0]}, "T_list"),
+    "statistic-unknown": ("rootzen", {"statistic": "max-foo"}, "statistic"),
+    "statistic-number": ("rootzen", {"statistic": 5}, "statistic"),
+    "forcing-string": ("solve", {"forcing": "linear"}, "forcing"),
+    "krt-window-reversed": ("krt", {"window_lo_means": 50, "window_hi_means": 20}, "window_lo_means"),
+    "krt-window-lo-zero": ("krt", {"window_lo_means": 0}, "window_lo_means"),
+    "z-exponent-one": ("krt", {"z_exponent": 1.0}, "z_exponent"),
+    "dump-paths-string": ("compensator", {"dump_paths": "no"}, "dump_paths"),
+    # a config that is not an object replaces BASE whole
+    "config-list": ("phi", [1, 2], "config"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_NUMBERS))
 def test_bad_config_numbers_name_their_field(runner, tmp_path, case):
     subcommand, override, field = _BAD_NUMBERS[case]
-    cfg = write_config(tmp_path, "c.json", {**BASE, **override})
+    payload = {**BASE, **override} if isinstance(override, dict) else override
+    cfg = write_config(tmp_path, "c.json", payload)
     res = runner.invoke(main, [subcommand, "--config", cfg, "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert f"config error: {field}:" in res.stderr
+
+
+def test_non_object_config_with_env_seed_is_config_error(runner, tmp_path, monkeypatch):
+    monkeypatch.setenv("RENEWAL_LAB_SEED", "3")
+    cfg = write_config(tmp_path, "c.json", [1, 2])
+    res = runner.invoke(main, ["phi", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "config error: config:" in res.stderr
+
+
+# one cheap run per subcommand; a failed check is fine, only the plumbing is under test
+SMALL_RUNS = {
+    "solve": ({**BASE, "forcing": {"type": "linear"}}, []),
+    "phi": (BASE, []),
+    "stone": ({"distribution": {"kind": "gamma", "shape": 2.0, "rate": 1.0}, "seed": 5}, []),
+    "bt": ({**BASE, "ts": [4.0]}, []),
+    "couple": (
+        {
+            "distribution": {"kind": "gamma", "shape": 2.0, "rate": 1.0},
+            "grid": {"h": 0.02, "horizon": 60.0},
+            "seed": 11,
+            "n_traces": 50,
+            "t_checks": [],
+        },
+        [],
+    ),
+    "compensator": ({**BASE, "n_paths": 50, "t_means": [5.0, 10.0]}, []),
+    "krt": ({**BASE, "grid": {"h": 0.01, "horizon": 100.0}}, []),
+    "rootzen": ({**BASE, "T_list": [20.0, 40.0], "n_paths": 50}, []),
+    "all": ({"seed": 20260809}, ["--criteria", "5"]),
+}
+
+
+class TestSubcommandWrapper:
+    @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+    def test_help_lists_shared_options(self, runner, name):
+        res = runner.invoke(main, [name, "--help"])
+        assert res.exit_code == 0, res.output
+        for option in ("--config", "--out", "--strict"):
+            assert option in res.output
+        assert ("--criteria" in res.output) == (name == "all")
+
+    @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+    def test_report_names_invoked_subcommand(self, runner, tmp_path, name):
+        payload, extra = SMALL_RUNS[name]
+        cfg = write_config(tmp_path, "c.json", payload)
+        res = runner.invoke(main, [name, "--config", cfg, "--out", str(tmp_path / "o"), *extra])
+        assert res.exit_code == 0, res.output
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["subcommand"] == name
+
+    def test_every_subcommand_is_covered(self):
+        assert set(main.commands) == set(SMALL_RUNS)
 
 
 PARETO = {"kind": "shifted-pareto", "tail": 3.5, "scale": 1.0}

@@ -279,3 +279,49 @@ class TestStationaryDelay:
 
     def test_all_kinds_listed(self):
         assert {d.kind for d in ALL_KINDS} == {"exponential", "gamma", "uniform", "shifted-pareto"}
+
+
+_LAW_METHODS = (
+    "density",
+    "cdf",
+    "quantile",
+    "hazard",
+    "cumulative_hazard",
+    "stationary_delay_density",
+    "stationary_delay_cdf",
+)
+# inside [0, 1) for quantile and below every support end for the hazards
+_CONTRACT_POINTS = np.linspace(0.05, 0.9, 6)
+
+
+class TestLawContract:
+    @pytest.mark.parametrize("method", _LAW_METHODS)
+    def test_float_in_gives_float_out(self, dist, method):
+        assert type(getattr(dist, method)(0.3)) is float
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (3, 2)])
+    @pytest.mark.parametrize("method", _LAW_METHODS)
+    def test_arrays_keep_shape_and_scalar_values(self, dist, method, shape):
+        fn = getattr(dist, method)
+        xs = _CONTRACT_POINTS[: math.prod(shape)].reshape(shape)
+        out = fn(xs)
+        assert isinstance(out, np.ndarray) and out.shape == shape
+        assert all(out[i] == fn(float(xs[i])) for i in np.ndindex(shape))
+
+    def test_config_keys_in_field_order(self, dist):
+        assert list(dist.to_config()) == ["kind", *dist.config_fields]
+
+    def test_check_labels(self):
+        # check names in reports are built from these
+        from renewal_lab.acceptance import _label
+
+        assert [_label(d) for d in ALL_KINDS] == [
+            "exponential(1)",
+            "gamma(2,1)",
+            "uniform(0,2)",
+            "shifted-pareto(3.5,1)",
+        ]
+
+    def test_unhashable_kind_is_config_error(self):
+        with pytest.raises(ConfigError, match="distribution.kind"):
+            distribution_from_config({"kind": ["gamma"]})
