@@ -47,7 +47,6 @@ from .grids import Grid, GridMeasure, measure_from_distribution, tv_distance
 from .renewal import (
     RenewalSolution,
     default_grid,
-    default_recurrence_grid,
     forward_recurrence_cdf,
     linear_forcing,
     renewal_measure,
@@ -334,11 +333,10 @@ def criterion_3_recurrence_law(seed: int) -> list[CheckResult]:
     for dist in FOUR_KINDS:
         grid = default_grid(dist)
         phi = renewal_measure(dist, grid)
-        x_grid = default_recurrence_grid(dist, grid.step)
         thresh = 1.36 / math.sqrt(n) + 2.0 * grid.step
         for mult in (2.0, 10.0, 50.0):
             t = mult * dist.mean()
-            cdf = forward_recurrence_cdf(dist, t, x_grid, phi=phi)
+            cdf = forward_recurrence_cdf(dist, t, phi=phi)
             draws = sample_forward_recurrence(dist, t, n, rng)
             ks = stats.kstest(draws, lambda v: np.interp(v, cdf.grid.nodes(), cdf.values, right=1.0)).statistic
             out.append(
@@ -470,7 +468,7 @@ def _krt_cell_fits(dist: Distribution, r_z: float, ppm: int):
     for factor in (1, 2):
         grid = Grid(mean / (ppm * factor), ppm * factor * 86)
         phi = renewal_measure(dist, grid)
-        curves[factor] = krt_error_curve(dist, z_fn, r_z, xs, grid=grid, phi=phi)
+        curves[factor] = krt_error_curve(dist, z_fn, r_z, xs, phi=phi)
     diff = float(np.max(np.abs(curves[1].errs - curves[2].errs)))
     # |err_h - err_{h/2}| ~ (3/4) bias_h: floors are 3x the implied bias
     floors = {1: 4.0 * diff, 2: 1.0 * diff}

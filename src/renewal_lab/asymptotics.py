@@ -71,7 +71,8 @@ def krt_error_curve(
 
     ``z_fn`` must be integrable and bounded with a known power-law tail
     exponent ``tail_exponent`` > 1 (used for the analytic tail of the limit
-    integral).  ``grid`` defaults to Phi's own grid.  Points snap to grid nodes.
+    integral).  ``grid`` defaults to Phi's own grid.  Points snap to grid
+    nodes; a point outside [0, horizon] raises ``HorizonExceededError``.
     """
     if grid is None:
         grid = phi.grid

@@ -41,7 +41,6 @@ from .errors import ConfigError, RenewalLabError
 from .grids import Grid, GridFunction
 from .renewal import (
     default_grid,
-    default_recurrence_grid,
     forward_recurrence_cdf,
     linear_forcing,
     renewal_measure,
@@ -232,20 +231,28 @@ def solve(runner: Runner, cfg: dict):
     if not isinstance(forcing_cfg, dict):
         raise ConfigError("forcing", f"expected an object, got {forcing_cfg!r}")
     kind = forcing_cfg.get("type")
-    if kind == "linear":
-        forcing = linear_forcing(dist, grid)
-    elif kind == "power":
-        r = _config_number("forcing.exponent", forcing_cfg.get("exponent", 2.0))
-        forcing = GridFunction.from_callable(grid, lambda x: (1.0 + x) ** (-r))
-    elif kind == "indicator":
-        lo = _config_number("forcing.lo", forcing_cfg.get("lo", 0.0))
-        hi = _config_number("forcing.hi", forcing_cfg.get("hi", 1.0))
-        forcing = GridFunction.from_callable(
-            grid, lambda x: ((x >= lo) & (x <= hi)).astype(float)
-        )
-    else:
-        raise ConfigError("forcing.type", f"unknown forcing {kind!r}")
-    sol = solve_renewal_equation(dist, forcing)
+    try:
+        # only a power forcing (1 + x)^-r with r << 0 grows large enough to
+        # overflow, in the forcing itself or later in the solve
+        with np.errstate(over="raise"):
+            if kind == "linear":
+                forcing = linear_forcing(dist, grid)
+            elif kind == "power":
+                r = _config_number("forcing.exponent", forcing_cfg.get("exponent", 2.0))
+                forcing = GridFunction.from_callable(grid, lambda x: (1.0 + x) ** (-r))
+            elif kind == "indicator":
+                lo = _config_number("forcing.lo", forcing_cfg.get("lo", 0.0))
+                hi = _config_number("forcing.hi", forcing_cfg.get("hi", 1.0))
+                forcing = GridFunction.from_callable(
+                    grid, lambda x: ((x >= lo) & (x <= hi)).astype(float)
+                )
+            else:
+                raise ConfigError("forcing.type", f"unknown forcing {kind!r}")
+            sol = solve_renewal_equation(dist, forcing)
+    except FloatingPointError:
+        raise ConfigError(
+            "forcing.exponent", f"(1 + x)^{-r:g} overflows the solve on [0, {grid.horizon:g}]"
+        ) from None
     sol.Z.to_csv(runner.artifact("Z.csv"))
     sol.forcing.to_csv(runner.artifact("forcing.csv"))
     runner.check(
@@ -321,13 +328,12 @@ def bt(runner: Runner, cfg: dict):
     grid = _resolve_grid(cfg, dist)
     ts = _read(cfg, "ts", [2.0 * dist.mean(), 10.0 * dist.mean()])
     measure = renewal_measure(dist, grid)
-    x_grid = default_recurrence_grid(dist, grid.step)
     rows = []
     for i, t in enumerate(ts):
-        cdf = forward_recurrence_cdf(dist, t, x_grid, phi=measure)
+        cdf = forward_recurrence_cdf(dist, t, phi=measure)
         cdf.to_csv(runner.artifact(f"bt_cdf_{i}.csv"))
         diagnostics = {}
-        tv = tv_to_stationary(dist, t, x_grid, phi=measure, diagnostics=diagnostics)
+        tv = tv_to_stationary(dist, t, phi=measure, diagnostics=diagnostics)
         rows.append((t, tv))
         # the read is O(h^2) accurate: clipping to [0, 1] and the
         # monotonizing step must move it by no more than that
@@ -450,7 +456,7 @@ def krt(runner: Runner, cfg: dict):
     xs = np.geomspace(lo, hi, _read(cfg, "n_points", 24))
     measure = renewal_measure(dist, grid)
     z_fn = lambda y: (1.0 + np.asarray(y)) ** (-r_z)
-    curve = krt_error_curve(dist, z_fn, r_z, xs, grid=grid, phi=measure)
+    curve = krt_error_curve(dist, z_fn, r_z, xs, phi=measure)
     _write_rows(runner.artifact("krt_curve.csv"), "x,err", zip(curve.xs, curve.errs))
     fit = krt_fit(curve, (lo, hi), _read(cfg, "floor", 0.0))
     if fit is not None:

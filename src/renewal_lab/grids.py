@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution, Uniform
-from .errors import IncompatibleGridsError, NotNormalizedError
+from .errors import HorizonExceededError, IncompatibleGridsError, NotNormalizedError
 
 __all__ = [
     "Grid",
@@ -60,9 +60,11 @@ class Grid:
         return self.step * np.arange(self.count + 1)
 
     def index_of(self, x: float) -> int:
-        """Nearest node index for x in [0, horizon]."""
-        k = int(round(x / self.step))
-        return min(max(k, 0), self.count)
+        """Nearest node index of x, which must lie in [0, horizon] up to a
+        relative 1e-12 past the horizon (read as the last node)."""
+        if not 0.0 <= x <= self.horizon * (1.0 + 1e-12):
+            raise HorizonExceededError(f"t = {x:g} outside [0, {self.horizon:g}]")
+        return int(round(x / self.step))
 
     @staticmethod
     def from_horizon(horizon: float, step: float) -> "Grid":
@@ -124,6 +126,18 @@ class GridMeasure:
     def total_mass(self) -> float:
         """In-horizon mass: atom plus trapezoidal integral of the density."""
         return self.atom0 + float(np.trapezoid(self.density, dx=self.grid.step))
+
+    def trapezoid_weights(self, k: int) -> np.ndarray:
+        """Trapezoid weights of the density on [0, x_k] as a fresh array:
+        h * density[0..k] with both ends halved, all zero at k = 0.  The
+        atom at 0 is not included."""
+        w = self.density[: k + 1] * self.grid.step
+        if k >= 1:
+            w[0] *= 0.5
+            w[-1] *= 0.5
+        else:
+            w[:] = 0.0
+        return w
 
     def cumulative(self) -> np.ndarray:
         """Mass of [0, x_k] at every node (the atom is included from k = 0)."""
@@ -229,13 +243,7 @@ def convolve_measure_function(mu: GridMeasure, z: GridFunction) -> GridFunction:
 def convolve_measure_function_at(mu: GridMeasure, z: GridFunction, k: int) -> float:
     """Single node (mu * z)(t_k) without forming the whole output."""
     _check_same_grid(mu.grid, z.grid)
-    if k == 0:
-        return mu.atom0 * z.values[0]
-    w = mu.density[: k + 1].copy()
-    w[0] *= 0.5
-    w[k] *= 0.5
-    tail = float(np.dot(w, z.values[k::-1])) * mu.grid.step
-    return mu.atom0 * z.values[k] + tail
+    return mu.atom0 * z.values[k] + float(np.dot(mu.trapezoid_weights(k), z.values[k::-1]))
 
 
 def tv_distance(p: GridMeasure, q: GridMeasure) -> float:

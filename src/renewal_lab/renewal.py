@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
 
 from .distributions import Distribution
-from .errors import HorizonExceededError, IncompatibleGridsError, StepTooCoarseError
+from .errors import IncompatibleGridsError, StepTooCoarseError
 from .grids import (
     Grid,
     GridFunction,
@@ -160,30 +160,7 @@ def linear_forcing(dist: Distribution, grid: Grid) -> GridFunction:
     """The forcing z(t) = m int_0^t (1 - F(x)) dx whose solution is exactly m t,
     built by trapezoidal cumulative integration of m * survival."""
     g = dist.rate() * (1.0 - np.asarray(dist.cdf(grid.nodes()), dtype=float))
-    h = grid.step
-    z = np.empty(grid.n_nodes)
-    z[0] = 0.0
-    np.cumsum(0.5 * h * (g[1:] + g[:-1]), out=z[1:])
-    return GridFunction(grid, z)
-
-
-def _snap(grid: Grid, t: float) -> int:
-    """Nearest node index of t, which must lie in [0, horizon]."""
-    if not 0.0 <= t <= grid.horizon * (1.0 + 1e-12):
-        raise HorizonExceededError(f"t = {t:g} outside [0, {grid.horizon:g}]")
-    return grid.index_of(t)
-
-
-def _recurrence_weights(phi: GridMeasure, t: float) -> tuple[int, np.ndarray]:
-    """Snapped node index of t and trapezoid weights of Phi's density on [0, t]."""
-    kt = _snap(phi.grid, t)
-    w = phi.density[: kt + 1] * phi.grid.step
-    if kt >= 1:
-        w[0] *= 0.5
-        w[-1] *= 0.5
-    else:
-        w[:] = 0.0
-    return kt, w
+    return GridFunction(grid, GridMeasure(grid, 0.0, g).cumulative())
 
 
 def _check_steps_match(x_grid: Grid, phi: GridMeasure) -> None:
@@ -201,7 +178,8 @@ def _recurrence_read(
     if x_grid is None:
         x_grid = default_recurrence_grid(dist, phi.grid.step)
     _check_steps_match(x_grid, phi)
-    kt, w = _recurrence_weights(phi, t)
+    kt = phi.grid.index_of(t)
+    w = phi.trapezoid_weights(kt)
     nodes = np.asarray(values_at(phi.grid.step * np.arange(kt + x_grid.count + 1)), dtype=float)
     return x_grid, phi.atom0, nodes[kt:], _middle_product(w, nodes, x_grid.count)
 
@@ -250,14 +228,12 @@ def recurrence_density_at(
     f(t + x) + int_0^t f(t + x - u) Phi(du), one dot per (t, x) row.
 
     ``t`` and ``x`` are equal-length 1-D arrays (one density per row).  Each
-    t snaps to its nearest node; Phi's atom at 0 is folded into the first
-    trapezoid weight, and the lattices of all rows are read with one
-    ``dist.density`` call.  The values equal a per-row read of
-    ``_recurrence_weights`` bit for bit, at less numpy overhead per row: the
-    horizon check and the snap run on Python floats (the probe chain reads
-    two rows, where array ops cost more than they save), and every row
-    slices its lattice offsets and trapezoid weights from one ``h * arange``
-    and one ``density * h`` up to the largest snapped node.
+    t snaps to its nearest node; Phi's atom at 0 is added to the first of
+    the row's ``trapezoid_weights``, and the lattices of all rows are read
+    with one ``dist.density`` call.  The snap runs on Python floats (the
+    probe chain reads two rows, where array ops cost more than they save),
+    and every row slices its lattice offsets from one ``h * arange`` up to
+    the largest snapped node.
     """
     ts = np.asarray(t, dtype=float)
     xs = np.asarray(x, dtype=float)
@@ -266,7 +242,7 @@ def recurrence_density_at(
     if ts.size == 0:
         return np.empty(0)
     h = phi.grid.step
-    kts = [_snap(phi.grid, t_row) for t_row in ts.tolist()]
+    kts = [phi.grid.index_of(t_row) for t_row in ts.tolist()]
     kmax = max(kts)
     offsets = h * np.arange(kmax + 1)
     lattice = np.empty(sum(kts) + len(kts))
@@ -275,17 +251,11 @@ def recurrence_density_at(
         np.subtract(kt * h + x_row, offsets[: kt + 1], out=lattice[start : start + kt + 1])
         start += kt + 1
     values = np.asarray(dist.density(lattice), dtype=float)
-    weights = phi.density[: kmax + 1] * h
-    first = 0.5 * weights[0] + phi.atom0
     out = np.empty(len(kts))
     start = 0
     for row, kt in enumerate(kts):
-        if kt >= 1:
-            w = weights[: kt + 1].copy()
-            w[0] = first
-            w[-1] *= 0.5
-        else:
-            w = np.array([phi.atom0])
+        w = phi.trapezoid_weights(kt)
+        w[0] += phi.atom0
         out[row] = np.dot(w, values[start : start + kt + 1])
         start += kt + 1
     return out

@@ -3,7 +3,7 @@ import pytest
 
 from renewal_lab import DecayCurve, Exponential, Gamma, Grid, fit_slope, krt_error_curve, tv_decay_curve
 from renewal_lab.asymptotics import limit_integral
-from renewal_lab.errors import InsufficientPointsError
+from renewal_lab.errors import HorizonExceededError, InsufficientPointsError
 from renewal_lab.renewal import renewal_measure
 
 
@@ -81,6 +81,14 @@ class TestKrtCurve:
         curve = krt_error_curve(d, z2, 2.0, xs, grid=grid, phi=phi)
         fit = fit_slope(curve, (20.0, 80.0), floor=1e-5)
         assert -1.1 < fit.slope < -0.7
+
+    def test_point_beyond_horizon_raises(self):
+        # a point past Phi's horizon is an error, not a read at the last node
+        d = Gamma(2.0, 1.0)
+        phi = renewal_measure(d, Grid(d.mean() / 100.0, 100 * 20))
+        z2 = lambda y: (1.0 + np.asarray(y)) ** -2.0
+        with pytest.raises(HorizonExceededError, match="outside"):
+            krt_error_curve(d, z2, 2.0, [10.0, 1e6], phi=phi)
 
     def test_linear_forcing_error_is_solver_limited(self):
         # with the linear-solution forcing the limit is never approached; the

@@ -102,6 +102,9 @@ _BAD_NUMBERS = {
     "statistic-unknown": ("rootzen", {"statistic": "max-foo"}, "statistic"),
     "statistic-number": ("rootzen", {"statistic": 5}, "statistic"),
     "forcing-string": ("solve", {"forcing": "linear"}, "forcing"),
+    # (1 + x)^500 overflows on [0, 30]; (1 + x)^206 stays finite but overflows the solve
+    "forcing-exponent-overflows": ("solve", {"forcing": {"type": "power", "exponent": -500}}, "forcing.exponent"),
+    "forcing-solve-overflows": ("solve", {"forcing": {"type": "power", "exponent": -206}}, "forcing.exponent"),
     "krt-window-reversed": ("krt", {"window_lo_means": 50, "window_hi_means": 20}, "window_lo_means"),
     "krt-window-lo-zero": ("krt", {"window_lo_means": 0}, "window_lo_means"),
     "z-exponent-one": ("krt", {"z_exponent": 1.0}, "z_exponent"),

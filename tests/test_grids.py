@@ -15,7 +15,7 @@ from renewal_lab import (
     overlap_mass,
     tv_distance,
 )
-from renewal_lab.errors import IncompatibleGridsError, NotNormalizedError
+from renewal_lab.errors import HorizonExceededError, IncompatibleGridsError, NotNormalizedError
 from renewal_lab.grids import _convolve_densities, convolve_measure_function_at, inverse_cdf
 
 
@@ -51,11 +51,21 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0.1, 0)
 
-    def test_index_of_clips(self):
+    def test_index_of_snaps_inside_horizon(self):
         g = Grid(0.1, 10)
         assert g.index_of(0.31) == 3
-        assert g.index_of(-1.0) == 0
-        assert g.index_of(99.0) == 10
+        assert g.index_of(0.0) == 0
+        assert g.index_of(g.horizon) == 10
+        # rounding past the horizon reads as the last node
+        assert g.index_of(g.horizon * (1.0 + 1e-13)) == g.count
+
+    @pytest.mark.parametrize("x", [-1.0, -1e-300, 99.0, "past", float("nan")])
+    def test_index_of_rejects_points_outside_horizon(self, x):
+        g = Grid(0.1, 10)
+        if x == "past":
+            x = g.horizon * (1.0 + 1e-11)
+        with pytest.raises(HorizonExceededError, match=r"outside \[0, 1\]"):
+            g.index_of(x)
 
     def test_grid_function_rejects_bad_shapes(self):
         g = Grid(0.1, 10)
@@ -185,6 +195,28 @@ class TestConvolution:
         raw = _convolve_densities(f.density, f.density, grid.step)
         clipped = float(np.trapezoid(convolve_measures(f, f).density - raw, dx=grid.step))
         assert clipped <= 1e-14
+
+    def test_trapezoid_weights(self):
+        grid = Grid(0.02, 400)
+        mu = GridMeasure(grid, 0.15, bump_measure(grid, 1.2, 0.8, 0.7).density + 0.1)
+        h = grid.step
+        np.testing.assert_array_equal(mu.trapezoid_weights(0), [0.0])
+        np.testing.assert_array_equal(mu.trapezoid_weights(1), 0.5 * h * mu.density[:2])
+        w = mu.trapezoid_weights(grid.count)
+        inner = h * mu.density
+        inner[[0, -1]] *= 0.5
+        np.testing.assert_array_equal(w, inner)
+        # the weights integrate the density; the atom is left out
+        assert float(np.sum(w)) == pytest.approx(mu.total_mass() - mu.atom0, rel=1e-14)
+
+    @pytest.mark.parametrize("k", [0, 1, 400])
+    def test_trapezoid_weights_are_a_fresh_array(self, k):
+        grid = Grid(0.02, 400)
+        mu = bump_measure(grid, 1.2, 0.8)
+        before = mu.density.copy()
+        w = mu.trapezoid_weights(k)
+        w += 1.0
+        np.testing.assert_array_equal(mu.density, before)
 
     def test_node_evaluation_matches_full_convolution(self):
         grid = Grid(0.02, 400)

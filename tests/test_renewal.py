@@ -31,7 +31,6 @@ from renewal_lab.compensator import sample_forward_recurrence
 from renewal_lab.errors import HorizonExceededError, StepTooCoarseError
 from renewal_lab.grids import _direct_is_cheaper
 from renewal_lab.renewal import (
-    _recurrence_weights,
     default_grid,
     default_recurrence_grid,
     recurrence_density_at,
@@ -182,17 +181,25 @@ def _recurrence_density_at_direct(dist, t, x, phi):
     return base + float(np.dot(w, np.asarray(dist.density(t_snap + x - h * np.arange(kt + 1)), dtype=float)))
 
 
-def _recurrence_density_at_rows(dist, ts, xs, phi):
-    """The fused read with each row's weights and lattice built on their own
-    by ``_recurrence_weights``: the bit-for-bit oracle of its shared slices."""
+def _recurrence_density_at_shared_slices(dist, ts, xs, phi):
+    """The fused read with every row's trapezoid weights sliced from one
+    ``density * h`` up to the largest snapped node, the atom folded into a
+    shared first weight: the bit-for-bit oracle of the per-row weights."""
     h = phi.grid.step
-    rows = [_recurrence_weights(phi, t) for t in ts.tolist()]
-    lattices = [kt * h + x - h * np.arange(kt + 1) for (kt, _), x in zip(rows, xs.tolist())]
+    kts = [phi.grid.index_of(t) for t in ts.tolist()]
+    lattices = [kt * h + x - h * np.arange(kt + 1) for kt, x in zip(kts, xs.tolist())]
     values = np.asarray(dist.density(np.concatenate(lattices)), dtype=float)
-    out = np.empty(len(rows))
+    weights = phi.density[: max(kts) + 1] * h
+    first = 0.5 * weights[0] + phi.atom0
+    out = np.empty(len(kts))
     start = 0
-    for row, (kt, w) in enumerate(rows):
-        w[0] += phi.atom0
+    for row, kt in enumerate(kts):
+        if kt >= 1:
+            w = weights[: kt + 1].copy()
+            w[0] = first
+            w[-1] *= 0.5
+        else:
+            w = np.array([phi.atom0])
         out[row] = np.dot(w, values[start : start + kt + 1])
         start += kt + 1
     return out
@@ -230,15 +237,15 @@ class TestRecurrenceDensityAt:
             fast, [recurrence_density_at(dist, ts[i : i + 1], xs[i : i + 1], phi=phi)[0] for i in range(len(ts))]
         )
 
-    def test_bit_identical_to_per_row_weights(self, dist, phi):
+    def test_bit_identical_to_shared_slices(self, dist, phi):
         ts, xs = map(np.array, zip(*self.points(dist, phi)))
-        assert np.array_equal(recurrence_density_at(dist, ts, xs, phi=phi), _recurrence_density_at_rows(dist, ts, xs, phi))
+        assert np.array_equal(recurrence_density_at(dist, ts, xs, phi=phi), _recurrence_density_at_shared_slices(dist, ts, xs, phi))
         # two-row reads as the probe chain makes them, one row often at t = 0
         rng = np.random.default_rng(3)
         for _ in range(50):
             t2 = rng.uniform(0.0, 21.0 * dist.mean(), 2) * rng.integers(0, 2, 2)
             x2 = rng.uniform(0.0, dist.mean(), 2)
-            assert np.array_equal(recurrence_density_at(dist, t2, x2, phi=phi), _recurrence_density_at_rows(dist, t2, x2, phi))
+            assert np.array_equal(recurrence_density_at(dist, t2, x2, phi=phi), _recurrence_density_at_shared_slices(dist, t2, x2, phi))
 
     @pytest.mark.parametrize("rows", [0, 1])
     def test_short_arrays_stay_arrays(self, dist, phi, rows):
@@ -395,6 +402,12 @@ class TestRenewalEquation:
         assert z.values[0] == 0.0
         # m * int_0^inf survival = 1
         assert z.values[-1] == pytest.approx(1.0, abs=1e-3)
+
+    def test_linear_forcing_is_the_cumulative_trapezoid_sum(self, dist):
+        grid = small_grid(dist)
+        g = dist.rate() * (1.0 - np.asarray(dist.cdf(grid.nodes()), dtype=float))
+        explicit = np.concatenate(([0.0], np.cumsum(0.5 * grid.step * (g[1:] + g[:-1]))))
+        assert np.array_equal(linear_forcing(dist, grid).values, explicit)
 
     def test_linear_forcing_exponential_closed_form(self):
         # trapezoidal cumulative integration carries an O(h^2) bias
