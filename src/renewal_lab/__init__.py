@@ -52,6 +52,7 @@ from .compensator import (
     RenewalPath,
     compensator_at,
     cycle_hazards,
+    path_max_statistic,
     recurrence_times,
     rootzen_uniform_error,
     sample_forward_recurrence,

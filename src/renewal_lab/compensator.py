@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import Distribution
-from .errors import FiniteSupportError
+from .errors import FiniteSupportError, HorizonExceededError
 
 __all__ = [
     "RenewalPath",
@@ -29,6 +29,7 @@ __all__ = [
     "cycle_hazards",
     "scaled_compensator_sup",
     "scaled_recurrence_sup",
+    "path_max_statistic",
     "rootzen_uniform_error",
 ]
 
@@ -70,10 +71,15 @@ class RenewalPath:
     def is_pure(self) -> bool:
         return self.delay == 0.0
 
+    def index_of(self, t: float) -> int:
+        """Number of events in (0, t]; t must lie in [0, horizon]."""
+        if not 0.0 <= t <= self.horizon:
+            raise HorizonExceededError(f"t = {t:g} outside [0, {self.horizon:g}]")
+        return int(np.searchsorted(self.events, t, side="right"))
+
     def count(self, t: float) -> int:
         """N(t): number of renewals in [0, t], counting the origin for pure paths."""
-        base = 1 if self.is_pure else 0
-        return base + int(np.searchsorted(self.events, t, side="right"))
+        return int(self.is_pure) + self.index_of(t)
 
     def renewals(self) -> np.ndarray:
         """All renewal epochs including the origin for pure paths."""
@@ -174,18 +180,21 @@ def sample_forward_recurrence(dist: Distribution, t: float, n: int, rng: np.rand
     return out
 
 
+def _age(path: RenewalPath, t, k):
+    """A_t = t minus the last renewal at or before t (the origin if none), given
+    k = path.index_of(t); t and k both scalars or both arrays.  The factor
+    (k >= 1) zeroes the wrapped read events[-1] where no event precedes t."""
+    return t - path.events[k - 1] * (k >= 1)
+
+
 def recurrence_times(path: RenewalPath, t: float) -> tuple[float, float]:
     """(A_t, B_t): elapsed time since the last renewal <= t and time to the next.
 
     For a delayed path before its first renewal, A_t falls back to the time
     since the origin.
     """
-    if not 0.0 <= t <= path.horizon:
-        raise ValueError(f"t = {t:g} outside [0, {path.horizon:g}]")
-    e = path.events
-    k = int(np.searchsorted(e, t, side="right"))
-    last = e[k - 1] if k >= 1 else 0.0
-    return t - float(last), float(e[k]) - t
+    k = path.index_of(t)
+    return float(_age(path, t, k)), float(path.events[k]) - t
 
 
 def compensator_at(path: RenewalPath, dist: Distribution, t):
@@ -201,13 +210,13 @@ def compensator_at(path: RenewalPath, dist: Distribution, t):
         raise ValueError("the compensator decomposition assumes a zero-delayed path")
     ts = np.asarray(t, dtype=float)
     scalar = ts.ndim == 0
-    inside = 0.0 <= float(ts) <= path.horizon if scalar else np.all((ts >= 0.0) & (ts <= path.horizon))
-    if not inside:
-        raise ValueError(f"t = {t} outside [0, {path.horizon:g}]")
-    k = np.searchsorted(path.events, ts, side="right")
-    cycles = int(k) if scalar else int(k.max(initial=0))
-    last = np.where(k >= 1, path.events[k - 1], 0.0)
-    xi = dist.cumulative_hazard(np.concatenate((path.spans[:cycles], np.ravel(ts - last))))
+    if scalar:
+        k = cycles = path.index_of(float(ts))
+    else:
+        path.index_of(ts.min(initial=0.0))  # a NaN anywhere reaches both ends
+        cycles = path.index_of(ts.max(initial=0.0))
+        k = np.searchsorted(path.events, ts, side="right")
+    xi = dist.cumulative_hazard(np.concatenate((path.spans[:cycles], np.ravel(_age(path, ts, k)))))
     full = np.zeros(cycles + 1)
     np.cumsum(xi[:cycles], out=full[1:])
     out = full[k] + xi[cycles:].reshape(ts.shape)
@@ -233,47 +242,46 @@ def cycle_hazards(path: RenewalPath, dist: Distribution) -> CycleHazards:
     return CycleHazards(np.asarray(dist.cumulative_hazard(path.spans), dtype=float))
 
 
+def _span_sups(path: RenewalPath, T: float) -> tuple[float, float]:
+    """(sup A_t, sup B_t) over t in [0, T], T > 0: A peaks at each completed span
+    and at the age at T, B at the full span of every cycle started by T (the
+    straddler included; a delayed path's B_0 is the delay itself)."""
+    k = path.index_of(T)
+    if T == 0.0:
+        raise ValueError("T = 0: the scaled sups need T > 0")
+    spans = path.spans[: k + 1]
+    sup_a = max(float(np.max(spans[:k])) if k else 0.0, float(_age(path, T, k)))
+    return sup_a, float(np.max(spans))
+
+
 def scaled_compensator_sup(path: RenewalPath, dist: Distribution, T: float, p: float) -> float:
     """sup over v in [0,1] of the running-cycle hazard integral of Lambda at Tv,
-    scaled by T^-p.  Within a cycle the integral is nondecreasing, so the sup
-    is attained at a cycle boundary or at v = 1."""
+    scaled by T^-p.  The integral is H(A_{Tv}) and H is nondecreasing, so the
+    sup is H(sup A) over [0, T]."""
     if not path.is_pure:
         raise ValueError("zero-delayed path required")
-    if T > path.horizon:
-        raise ValueError("T beyond the simulated horizon")
-    e = path.events
-    k = int(np.searchsorted(e, T, side="right"))
-    best = float(np.max(dist.cumulative_hazard(path.spans[:k]))) if k else 0.0
-    partial = float(dist.cumulative_hazard(T - (e[k - 1] if k else 0.0)))
-    return max(best, partial) / T**p
+    sup_a, _ = _span_sups(path, T)
+    return float(dist.cumulative_hazard(sup_a)) / T**p
 
 
 def scaled_recurrence_sup(path: RenewalPath, T: float, p: float) -> tuple[float, float]:
-    """(sup A, sup B) over [0, T], each scaled by T^{-1/p}.
-
-    B attains the full span of every cycle starting in [0, T] (the straddling
-    cycle included); A attains completed spans plus the final partial age.
-    """
-    if T > path.horizon:
-        raise ValueError("T beyond the simulated horizon")
-    e = path.events
-    k = int(np.searchsorted(e, T, side="right"))
-    spans = path.spans[: k + 1]  # a delayed path's B_0 is the delay itself
-    sup_b = float(np.max(spans))
-    completed = spans[:-1]
-    sup_a = max(float(np.max(completed)) if completed.size else 0.0, T - float(e[k - 1] if k else 0.0))
+    """(sup A, sup B) over [0, T], each scaled by T^{-1/p}."""
+    sup_a, sup_b = _span_sups(path, T)
     scale = T ** (1.0 / p)
     return sup_a / scale, sup_b / scale
 
 
 def path_max_statistic(path: RenewalPath, dist: Distribution, T: float, statistic: str) -> float:
-    """max over cycles 1..N(T) of tau_k or of xi_k (full straddler span)."""
-    k = int(np.searchsorted(path.events, T, side="right"))
-    taus = path.spans[: k + 1] if path.is_pure else path.spans[1 : k + 1]
+    """max over cycles 1..N(T) of tau_k or of xi_k (full straddler span); H is
+    nondecreasing, so max xi_k = H(max tau_k)."""
+    k = path.index_of(T)
+    taus = path.spans[int(not path.is_pure) : k + 1]  # a delay is not a cycle
+    if not taus.size:
+        raise ValueError(f"T = {T:g} precedes the first event {path.events[0]:g}: no cycle starts by T")
     if statistic == "max-tau":
         return float(np.max(taus))
     if statistic == "max-xi":
-        return float(np.max(dist.cumulative_hazard(taus)))
+        return float(dist.cumulative_hazard(np.max(taus)))
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
@@ -287,8 +295,10 @@ def rootzen_uniform_error(
     """sup_x |F_T(x) - G(x)^{mT}| for the per-path cycle maximum over [0, T].
 
     G is the single-cycle law: standard exponential for max-xi, F itself for
-    max-tau.  The sup is evaluated at the sample points (both sides of each
-    jump) plus a thousand-point quantile lattice of G.
+    max-tau.  G^{mT} is continuous for every pair accepted here (max-tau on a
+    bounded law is rejected), so between the jumps of the empirical F_T the
+    gap is monotone and the sup is read at the sample points, on both sides
+    of each jump.
     """
     if statistic == "max-tau" and math.isfinite(dist.support_end()):
         raise FiniteSupportError("the cycle-max law has bounded support; G^{mT} degenerates")
@@ -297,21 +307,8 @@ def rootzen_uniform_error(
         path = simulate_path(dist, T, "zero", rng)
         samples[i] = path_max_statistic(path, dist, T, statistic)
     samples.sort()
-    exponent = dist.rate() * T
-
-    if statistic == "max-xi":
-        g_cdf = lambda x: -np.expm1(-np.asarray(x, dtype=float))
-        g_quantile = lambda u: -np.log1p(-u)
-    else:
-        g_cdf = lambda x: np.asarray(dist.cdf(x), dtype=float)
-        g_quantile = dist.quantile
-
-    target = np.power(np.clip(g_cdf(samples), 0.0, 1.0), exponent)
+    g = -np.expm1(-samples) if statistic == "max-xi" else np.asarray(dist.cdf(samples), dtype=float)
+    target = np.power(np.clip(g, 0.0, 1.0), dist.rate() * T)
     upper = np.arange(1, n_paths + 1) / n_paths
     lower = np.arange(0, n_paths) / n_paths
-    err = float(np.max(np.maximum(np.abs(upper - target), np.abs(lower - target))))
-
-    lattice = g_quantile((np.arange(1, 1001)) / 1001.0)
-    emp = np.searchsorted(samples, lattice, side="right") / n_paths
-    target_lat = np.power(np.clip(g_cdf(lattice), 0.0, 1.0), exponent)
-    return max(err, float(np.max(np.abs(emp - target_lat))))
+    return float(np.max(np.maximum(np.abs(upper - target), np.abs(lower - target))))

@@ -22,7 +22,7 @@ class SupportExhaustedError(RenewalLabError):
 
 
 class HorizonExceededError(RenewalLabError):
-    """A time argument lies beyond the grid horizon."""
+    """A time argument lies outside [0, horizon], the grid or path horizon."""
 
 
 class NoComponentFoundError(RenewalLabError):

@@ -12,6 +12,7 @@ from renewal_lab import (
     Uniform,
     compensator_at,
     cycle_hazards,
+    path_max_statistic,
     recurrence_times,
     rootzen_uniform_error,
     sample_forward_recurrence,
@@ -20,8 +21,8 @@ from renewal_lab import (
     simulate_path,
 )
 from renewal_lab import compensator
-from renewal_lab.compensator import _RECURRENCE_ROWS, draw_interarrivals, path_max_statistic
-from renewal_lab.errors import FiniteSupportError
+from renewal_lab.compensator import _RECURRENCE_ROWS, draw_interarrivals
+from renewal_lab.errors import FiniteSupportError, HorizonExceededError
 from renewal_lab.renewal import default_grid, default_recurrence_grid, forward_recurrence_cdf, renewal_measure
 
 
@@ -232,9 +233,9 @@ class TestCompensator:
     @pytest.mark.parametrize("t", [math.nan, -0.5, 10.5])
     def test_rejects_t_outside_horizon(self, rng, t):
         path = simulate_path(Exponential(1.0), 10.0, "zero", rng)
-        with pytest.raises(ValueError, match="t = "):
+        with pytest.raises(HorizonExceededError, match="t = "):
             compensator_at(path, Exponential(1.0), t)
-        with pytest.raises(ValueError, match="t = "):
+        with pytest.raises(HorizonExceededError, match="t = "):
             compensator_at(path, Exponential(1.0), np.array([1.0, t]))
 
 
@@ -263,8 +264,44 @@ class TestBadInput:
 
     def test_recurrence_times_rejects_nan_t(self, rng):
         path = simulate_path(Exponential(1.0), 10.0, "zero", rng)
-        with pytest.raises(ValueError, match="t = nan"):
+        with pytest.raises(HorizonExceededError, match="t = nan"):
             recurrence_times(path, math.nan)
+
+    @pytest.mark.parametrize("sup", [
+        lambda path, T: scaled_compensator_sup(path, Gamma(2.0, 1.0), T, 0.5),
+        lambda path, T: scaled_recurrence_sup(path, T, 2.0),
+    ], ids=["compensator", "recurrence"])
+    def test_scaled_sups_reject_zero_T(self, rng, sup):
+        path = simulate_path(Gamma(2.0, 1.0), 10.0, "zero", rng)
+        with pytest.raises(ValueError, match="^T = 0"):
+            sup(path, 0.0)
+
+    def test_path_max_statistic_rejects_T_before_first_event_of_delayed_path(self):
+        path = RenewalPath(1.5, np.array([1.5, 2.0, 5.0]), 3.0)
+        with pytest.raises(ValueError, match="^T = 1 precedes"):
+            path_max_statistic(path, Gamma(2.0, 1.0), 1.0, "max-tau")
+        assert path_max_statistic(path, Gamma(2.0, 1.0), 1.5, "max-tau") == 0.5
+
+
+# every path reader, each through the one checked lookup RenewalPath.index_of
+_PATH_READERS = {
+    "count": lambda path, dist, t: path.count(t),
+    "recurrence_times": lambda path, dist, t: recurrence_times(path, t),
+    "compensator_at": lambda path, dist, t: compensator_at(path, dist, t),
+    "compensator_at_array": lambda path, dist, t: compensator_at(path, dist, np.array([0.5, t, 1.0])),
+    "scaled_compensator_sup": lambda path, dist, t: scaled_compensator_sup(path, dist, t, 0.5),
+    "scaled_recurrence_sup": lambda path, dist, t: scaled_recurrence_sup(path, t, 2.0),
+    "path_max_statistic": lambda path, dist, t: path_max_statistic(path, dist, t, "max-xi"),
+}
+
+
+@pytest.mark.parametrize("reader", list(_PATH_READERS))
+@pytest.mark.parametrize("t", [-1.0, 11.0, math.nan], ids=["negative", "past-horizon", "nan"])
+def test_path_readers_reject_t_outside_horizon(rng, reader, t):
+    dist = Gamma(2.0, 1.0)
+    path = simulate_path(dist, 10.0, "zero", rng)
+    with pytest.raises(HorizonExceededError, match=r"^t = .* outside \[0, 10\]$"):
+        _PATH_READERS[reader](path, dist, t)
 
 
 class TestCycleHazards:
@@ -460,6 +497,29 @@ class TestSpanReaders:
             path.interarrivals()[0] = 1.0
 
 
+def _rootzen_with_lattice_oracle(dist, T, n_paths, statistic, rng):
+    """The uniform error read at the sample points and on a thousand-point
+    quantile lattice of G, as rootzen_uniform_error computed it before the
+    lattice was dropped."""
+    samples = np.sort([path_max_statistic(simulate_path(dist, T, "zero", rng), dist, T, statistic)
+                       for _ in range(n_paths)])
+    exponent = dist.rate() * T
+    if statistic == "max-xi":
+        g_cdf = lambda x: -np.expm1(-np.asarray(x, dtype=float))
+        g_quantile = lambda u: -np.log1p(-u)
+    else:
+        g_cdf = lambda x: np.asarray(dist.cdf(x), dtype=float)
+        g_quantile = dist.quantile
+    target = np.power(np.clip(g_cdf(samples), 0.0, 1.0), exponent)
+    upper = np.arange(1, n_paths + 1) / n_paths
+    lower = np.arange(0, n_paths) / n_paths
+    err = float(np.max(np.maximum(np.abs(upper - target), np.abs(lower - target))))
+    lattice = g_quantile((np.arange(1, 1001)) / 1001.0)
+    emp = np.searchsorted(samples, lattice, side="right") / n_paths
+    target_lat = np.power(np.clip(g_cdf(lattice), 0.0, 1.0), exponent)
+    return max(err, float(np.max(np.abs(emp - target_lat))))
+
+
 class TestRootzen:
     def test_uniform_max_tau_rejected(self, rng):
         with pytest.raises(FiniteSupportError):
@@ -480,6 +540,16 @@ class TestRootzen:
         d = ShiftedPareto(3.5, 1.0)
         err = rootzen_uniform_error(d, 40.0, 400, "max-tau", rng)
         assert 0.0 <= err <= 1.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("dist, statistic", [(Gamma(2.0, 1.0), "max-xi"), (ShiftedPareto(3.5, 1.0), "max-tau")],
+                             ids=["gamma-max-xi", "pareto-max-tau"])
+    def test_sample_points_attain_the_sup(self, seed, dist, statistic):
+        # G^{mT} is continuous, so a quantile lattice of G adds nothing to the
+        # sup over the sample points
+        err = rootzen_uniform_error(dist, 20.0, 300, statistic, np.random.default_rng(seed))
+        oracle = _rootzen_with_lattice_oracle(dist, 20.0, 300, statistic, np.random.default_rng(seed))
+        assert err == oracle
 
     def test_power_target_near_one_for_growing_threshold(self):
         # (1 - e^{-eps T^p})^{mT} at eps=0.5, p=1, T=100 is within 1e-6 of 1
