@@ -300,6 +300,10 @@ def rootzen_uniform_error(
     gap is monotone and the sup is read at the sample points, on both sides
     of each jump.
     """
+    if statistic not in ("max-xi", "max-tau"):
+        raise ValueError(f'statistic must be "max-xi" or "max-tau", got {statistic!r}')
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
     if statistic == "max-tau" and math.isfinite(dist.support_end()):
         raise FiniteSupportError("the cycle-max law has bounded support; G^{mT} degenerates")
     samples = np.empty(n_paths)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import NoCommonComponentError, NotNormalizedError, ThinningError
-from .grids import Grid, GridMeasure, inverse_cdf, overlap_mass
+from .grids import Grid, GridMeasure, _check_same_grid, inverse_cdf
 from .renewal import forward_recurrence_density, recurrence_density_at
 from .compensator import draw_interarrivals, simulate_path
 
@@ -52,12 +52,6 @@ __all__ = [
 # maximal coupling of two gridded probability measures
 
 
-def _split_parts(p: GridMeasure, q: GridMeasure):
-    delta = overlap_mass(p, q)
-    common = GridMeasure(p.grid, min(p.atom0, q.atom0), np.minimum(p.density, q.density))
-    return delta, common
-
-
 def maximal_coupling_sample(p: GridMeasure, q: GridMeasure, rng: np.random.Generator, size: int):
     """Jointly draw ``size`` triples (x, y, coupled) with x ~ p, y ~ q and
     P(coupled = 0) = tv_distance(p, q) / 2, as three arrays.
@@ -70,7 +64,9 @@ def maximal_coupling_sample(p: GridMeasure, q: GridMeasure, rng: np.random.Gener
         mass = m.total_mass()
         if abs(mass - 1.0) > 1e-6:
             raise NotNormalizedError(f"{name} has mass {mass!r}, expected 1")
-    delta, common = _split_parts(p, q)
+    _check_same_grid(p.grid, q.grid)
+    common = GridMeasure(p.grid, min(p.atom0, q.atom0), np.minimum(p.density, q.density))
+    delta = common.total_mass()
     u_flag = rng.random(size)
     u_val = rng.random(size)
     u_val2 = rng.random(size)
@@ -150,7 +146,7 @@ def find_common_component(dist: Distribution, *, phi: GridMeasure) -> CouplingPa
             f"recurrence density not stabilizing on the lattice (deviations {tail_devs.tolist()})"
         )
 
-    best: tuple[float, CouplingParams] | None = None
+    params: CouplingParams | None = None
     for b in b_candidates:
         ib = max(1, x_grid.index_of(b))
         window = slice(1, ib + 1)  # open at 0; closing at b is conservative
@@ -162,9 +158,8 @@ def find_common_component(dist: Distribution, *, phi: GridMeasure) -> CouplingPa
         target = 0.9 * deltas[j_best]
         j = int(np.argmax(deltas >= target))  # smallest d within 10% of the optimum
         cand = CouplingParams(b=b, d=t_points[j], delta=float(deltas[j]))
-        if best is None or cand.delta > best[1].delta:
-            best = (deltas[j_best], cand)
-    params = best[1]
+        if params is None or cand.delta > params.delta:
+            params = cand
     if params.delta < 0.01:
         raise NoCommonComponentError(f"best component mass {params.delta:g} < 0.01")
     return params
@@ -343,18 +338,16 @@ def coupled_event_sequences(
 class TailEstimate:
     p: float
     stderr: float
-    ci_low: float
-    ci_high: float
 
 
 def coupling_tail(traces, t: float) -> TailEstimate:
-    """Empirical P(coupling time > t) with a binomial 95% interval."""
+    """Empirical P(coupling time > t) with its binomial standard error."""
     if len(traces) < 1000:
         raise ValueError(f"need >= 1000 traces for a stable tail estimate, got {len(traces)}")
     times = np.asarray([tr.coupling_time for tr in traces])
     p = float(np.mean(times > t))
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / len(times))
-    return TailEstimate(p, se, max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se))
+    return TailEstimate(p, se)
 
 
 @dataclass(frozen=True)

@@ -95,13 +95,6 @@ class GridFunction:
     def from_callable(grid: Grid, fn) -> "GridFunction":
         return GridFunction(grid, np.asarray(fn(grid.nodes()), dtype=float))
 
-    def to_csv(self, path) -> None:
-        xs = self.grid.nodes()
-        with open(path, "w") as fh:
-            fh.write("x,value\n")
-            for x, v in zip(xs, self.values):
-                fh.write(f"{float(x)!r},{float(v)!r}\n")
-
 
 @dataclass(frozen=True)
 class GridMeasure:
@@ -166,14 +159,6 @@ class GridMeasure:
     @staticmethod
     def dirac(grid: Grid) -> "GridMeasure":
         return GridMeasure(grid, 1.0, np.zeros(grid.n_nodes))
-
-    def to_csv(self, path) -> None:
-        xs = self.grid.nodes()
-        with open(path, "w") as fh:
-            fh.write(f"# atom0={float(self.atom0)!r}\n")
-            fh.write("x,density\n")
-            for x, v in zip(xs, self.density):
-                fh.write(f"{float(x)!r},{float(v)!r}\n")
 
 
 # a middle product is summed directly while its multiply-adds stay within

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from renewal_lab import Grid, GridFunction, GridMeasure
 from renewal_lab.acceptance import CRITERIA, DEFAULT_SEED
-from renewal_lab.cli import main
+from renewal_lab.cli import Runner, _measure_header, main
 
 
 def write_config(tmp_path, name, payload):
@@ -35,6 +36,17 @@ class TestSolve:
         assert report["passed"] is True
         assert (tmp_path / "o" / "Z.csv").exists()
         assert report["config"]["seed"] == 7
+
+    def test_residual_is_relative_to_the_solution(self, runner, tmp_path):
+        # (1 + x)^100 on [0, 30] reaches 1.4e149: the absolute residual is
+        # about 1e133, yet 1e-16 of max|Z|
+        cfg = write_config(tmp_path, "c.json", {**BASE, "forcing": {"type": "power", "exponent": -100}})
+        res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--strict"])
+        assert res.exit_code == 0, res.output
+        (check,) = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+        assert check["name"] == "solver residual" and check["passed"] is True
+        assert check["measured"]["residual"] > 1e100
+        assert check["measured"]["relative_residual"] <= 1e-8
 
     def test_unknown_forcing_is_config_error(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**BASE, "forcing": {"type": "sine"}})
@@ -239,6 +251,51 @@ class TestDeterminism:
         res2 = runner.invoke(main, ["solve", "--config", cfg2, "--out", str(tmp_path / "o2")])
         assert res2.exit_code == 0
         assert (tmp_path / "o" / "Z.csv").read_bytes() == (tmp_path / "o2" / "Z.csv").read_bytes()
+
+
+class TestArtifactWriters:
+    """The artifact bytes, pinned on literal inputs (solver output can move
+    by an ulp across numpy releases)."""
+
+    @staticmethod
+    def _runner(tmp_path):
+        return Runner("solve", {"seed": 1}, str(tmp_path))
+
+    def test_function_rows(self, tmp_path):
+        fn = GridFunction(Grid(0.5, 2), [1.0, 0.1, 1e-20])
+        self._runner(tmp_path).write_rows("fn.csv", "x,value", zip(fn.grid.nodes(), fn.values))
+        assert (tmp_path / "fn.csv").read_text() == "x,value\n0.0,1.0\n0.5,0.1\n1.0,1e-20\n"
+
+    def test_measure_header_carries_atom(self, tmp_path):
+        m = GridMeasure(Grid(0.5, 2), np.float64(0.375), [0.25, 2.0 / 3.0, 0.0])
+        self._runner(tmp_path).write_rows("m.csv", _measure_header(m), zip(m.grid.nodes(), m.density))
+        assert (tmp_path / "m.csv").read_text() == (
+            "# atom0=0.375\nx,density\n0.0,0.25\n0.5,0.6666666666666666\n1.0,0.0\n"
+        )
+
+    def test_ints_stay_ints_and_floats_round_trip(self, tmp_path):
+        rows = [(0, 0, 0.0, 1.5, np.float64(0.1), 3, 0), (0, 1, 2.0, 1e300, -2.5, np.int64(3), 1)]
+        self._runner(tmp_path).write_rows("t.csv", "trace,k,eta,eta_hat,beta,beta_hat,indicator", rows)
+        assert (tmp_path / "t.csv").read_text() == (
+            "trace,k,eta,eta_hat,beta,beta_hat,indicator\n0,0,0.0,1.5,0.1,3,0\n0,1,2.0,1e+300,-2.5,3.0,1\n"
+        )
+
+    def test_function_round_trip(self, tmp_path):
+        fn = GridFunction.from_callable(Grid(0.1, 20), np.cos)
+        self._runner(tmp_path).write_rows("fn.csv", "x,value", zip(fn.grid.nodes(), fn.values))
+        lines = (tmp_path / "fn.csv").read_text().splitlines()
+        assert lines[0] == "x,value"
+        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        assert np.array_equal(data[:, 0], fn.grid.nodes())
+        assert np.array_equal(data[:, 1], fn.values)
+
+    def test_json(self, tmp_path):
+        obj = {"b": {"z": 1, "a": [1.5, 2, None]}, "a": True, "c": 0.1}
+        self._runner(tmp_path).write_json("o.json", obj)
+        assert (tmp_path / "o.json").read_text() == (
+            '{\n  "a": true,\n  "b": {\n    "a": [\n      1.5,\n      2,\n      null\n    ],\n'
+            '    "z": 1\n  },\n  "c": 0.1\n}'
+        )
 
 
 class TestSubcommands:

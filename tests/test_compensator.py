@@ -525,6 +525,15 @@ class TestRootzen:
         with pytest.raises(FiniteSupportError):
             rootzen_uniform_error(Uniform(0.0, 2.0), 20.0, 100, "max-tau", rng)
 
+    @pytest.mark.parametrize("n_paths, statistic, field", [(0, "max-xi", "n_paths"), (100, "max-age", "statistic")],
+                             ids=["no-paths", "unknown-statistic"])
+    def test_bad_arguments_rejected_before_any_draw(self, n_paths, statistic, field):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=field):
+            rootzen_uniform_error(Gamma(2.0, 1.0), 20.0, n_paths, statistic, rng)
+        assert rng.bit_generator.state == state
+
     def test_unknown_statistic_rejected(self, rng):
         path = simulate_path(Exponential(1.0), 5.0, "zero", rng)
         with pytest.raises(ValueError):

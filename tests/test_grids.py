@@ -317,24 +317,3 @@ class TestDistributionMeasures:
 
         res = stats.kstest(draws, lambda v: np.asarray(Exponential(1.0).cdf(v)))
         assert res.statistic < 1.36 / np.sqrt(20000) + 2 * grid.step
-
-
-class TestSerialization:
-    def test_function_round_trip(self, tmp_path):
-        grid = Grid(0.1, 20)
-        z = GridFunction.from_callable(grid, lambda x: np.cos(x))
-        path = tmp_path / "fn.csv"
-        z.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,value"
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        assert np.array_equal(data[:, 1], z.values)
-
-    def test_measure_header_carries_atom(self, tmp_path):
-        grid = Grid(0.1, 20)
-        m = GridMeasure(grid, 0.375, np.zeros(21))
-        path = tmp_path / "measure.csv"
-        m.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# atom0=0.375"
-        assert lines[1] == "x,density"
