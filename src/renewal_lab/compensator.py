@@ -81,12 +81,6 @@ class RenewalPath:
         """N(t): number of renewals in [0, t], counting the origin for pure paths."""
         return int(self.is_pure) + self.index_of(t)
 
-    def renewals(self) -> np.ndarray:
-        """All renewal epochs including the origin for pure paths."""
-        if self.is_pure:
-            return np.concatenate(([0.0], self.events))
-        return self.events
-
     @cached_property
     def spans(self) -> np.ndarray:
         # np.diff(events, prepend=0.0), without its concatenated copy

@@ -207,10 +207,6 @@ class CouplingTrace:
     final_uniform: float
     accepted_draw: tuple[float, float]
 
-    def l_values(self) -> np.ndarray:
-        """Probe times L_k = max(eta_k, eta_hat_k) + d."""
-        return np.max(self.eta, axis=1) + self.params.d
-
 
 def _draw_recurrence_direct(dist: Distribution, t: float, rng: np.random.Generator) -> float:
     """One exact draw of B_t by simulating partial sums until they pass t.

@@ -17,6 +17,10 @@ class StepTooCoarseError(RenewalLabError):
     """Grid step too large for a stable implicit Volterra solve (diagonal 1 - h k(0) / 2 <= 0)."""
 
 
+class SingularBlockError(RenewalLabError):
+    """LAPACK rejected a triangular block of the Volterra solve (dtrtrs info != 0)."""
+
+
 class SupportExhaustedError(RenewalLabError):
     """Hazard requested at a point where the survival function is zero."""
 

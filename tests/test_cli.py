@@ -306,6 +306,16 @@ class TestSubcommands:
         text = (tmp_path / "o" / "phi.csv").read_text().splitlines()
         assert text[0].startswith("# atom0=1.0")
 
+    def test_phi_renewal_ratio_leaves_out_the_atom(self, runner, tmp_path):
+        # exponential(1): Phi((0, 15]) = 15; with the atom the ratio read 16/15 and failed
+        cfg = write_config(tmp_path, "c.json", BASE)
+        res = runner.invoke(main, ["phi", "--config", cfg, "--out", str(tmp_path / "o"), "--strict"])
+        assert res.exit_code == 0, res.output
+        checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+        (ratio,) = [c for c in checks if c["name"] == "elementary renewal ratio at half horizon"]
+        assert ratio["passed"] is True
+        assert ratio["measured"]["ratio"] == pytest.approx(1.0, abs=BASE["grid"]["h"] ** 2)
+
     def test_bt_outputs_cdfs_and_tv(self, runner, tmp_path):
         payload = {**BASE, "grid": {"h": 0.01, "horizon": 40.0}, "ts": [0.0, 4.0]}
         cfg = write_config(tmp_path, "c.json", payload)

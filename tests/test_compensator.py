@@ -127,8 +127,7 @@ class TestRecurrenceTimes:
         for t in [0.3 * dist.mean(), 4.0 * dist.mean(), 9.0 * dist.mean()]:
             a, b = recurrence_times(path, t)
             assert a >= 0.0 and b > 0.0
-            r = path.renewals()
-            spans = np.diff(r)
+            spans = np.diff(np.concatenate(([0.0], path.events)))
             assert any(abs(a + b - s) < 1e-9 for s in spans) or a == t
 
     def test_exponential_residual_is_memoryless(self, rng):
@@ -213,7 +212,7 @@ class TestCompensator:
         assert np.all(np.diff(lam) >= -1e-12)
         # jump across each completed cycle accumulates exactly its hazard integral
         xi = cycle_hazards(path, dist).xi
-        renewals = path.renewals()
+        renewals = np.concatenate(([0.0], path.events))
         for i in range(1, min(6, len(renewals) - 1)):
             jump = compensator_at(path, dist, renewals[i]) - compensator_at(path, dist, renewals[i - 1])
             assert jump == pytest.approx(xi[i - 1], abs=1e-10)
@@ -221,7 +220,7 @@ class TestCompensator:
     def test_matches_per_cycle_sum_oracle(self, dist, rng):
         # scalar calls and one array call against the per-t summed oracle
         path = simulate_path(dist, 30.0 * dist.mean(), "zero", rng)
-        ts = np.concatenate((np.linspace(0.0, path.horizon, 97), path.renewals()[1:6]))
+        ts = np.concatenate((np.linspace(0.0, path.horizon, 97), path.events[:5]))
         direct = np.array([_compensator_direct(path, dist, t) for t in ts])
         scalar = [compensator_at(path, dist, float(t)) for t in ts]
         assert all(type(v) is float for v in scalar)
@@ -383,16 +382,21 @@ class TestScaledSups:
         assert np.median(sups) < 0.01
 
 
-# Oracles for the span readers: the formulas that rebuilt renewals() and took
-# their own np.diff on every call, before the readers shared path.spans.
+# Oracles for the span readers: the formulas that rebuilt the renewal epochs
+# and took their own np.diff on every call, before the readers shared path.spans.
+
+
+def _renewals(path):
+    """All renewal epochs, with the origin for a pure path."""
+    return np.concatenate(([0.0], path.events)) if path.is_pure else path.events
 
 
 def _interarrivals_oracle(path):
-    return np.diff(path.renewals()) if path.is_pure else np.diff(path.events)
+    return np.diff(_renewals(path)) if path.is_pure else np.diff(path.events)
 
 
 def _recurrence_times_oracle(path, t):
-    r = path.renewals()
+    r = _renewals(path)
     idx = int(np.searchsorted(r, t, side="right"))
     last = r[idx - 1] if idx >= 1 else 0.0
     return t - float(last), float(r[idx]) - t
@@ -425,7 +429,7 @@ def _scaled_compensator_sup_oracle(path, dist, T, p):
 
 
 def _scaled_recurrence_sup_oracle(path, T, p):
-    r = path.renewals()
+    r = _renewals(path)
     if r[0] > 0.0:
         r = np.concatenate(([0.0], r))
     idx = int(np.searchsorted(r, T, side="right"))
@@ -437,7 +441,7 @@ def _scaled_recurrence_sup_oracle(path, T, p):
 
 
 def _path_max_statistic_oracle(path, dist, T, statistic):
-    r = path.renewals()
+    r = _renewals(path)
     taus = np.diff(r[: int(np.searchsorted(r, T, side="right")) + 1])
     return float(np.max(taus if statistic == "max-tau" else dist.cumulative_hazard(taus)))
 

@@ -201,7 +201,7 @@ class TestCouplingChain:
             k = len(tr.indicators)
             assert tr.sigma == k - 1
             assert np.all(tr.indicators[:-1] == 0) and tr.indicators[-1] == 1
-            ls = tr.l_values()
+            ls = np.max(tr.eta, axis=1) + params.d
             assert np.all(np.diff(ls) > 0.0)
             assert 0.0 < tr.final_uniform < params.b
             assert tr.coupling_time == pytest.approx(ls[-1] + tr.final_uniform)

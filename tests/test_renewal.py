@@ -1,5 +1,10 @@
 
 import functools
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +33,10 @@ from renewal_lab import (
     tv_to_stationary,
 )
 from renewal_lab.compensator import sample_forward_recurrence
-from renewal_lab.errors import HorizonExceededError, StepTooCoarseError
+from renewal_lab.errors import HorizonExceededError, RenewalLabError, SingularBlockError, StepTooCoarseError
 from renewal_lab.grids import _direct_is_cheaper
 from renewal_lab.renewal import (
+    _solve_block,
     default_grid,
     default_recurrence_grid,
     recurrence_density_at,
@@ -59,7 +65,7 @@ def _volterra_direct(kernel, rhs, grid):
 
 
 class TestVolterraSolver:
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 500, 3000])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 255, 256, 257, 500, 511, 513, 1025, 3000])
     @pytest.mark.parametrize("forcing", ["kernel", "linear"])
     def test_matches_direct_substitution(self, dist, n, forcing):
         grid = Grid(dist.mean() / 200.0, n)
@@ -77,6 +83,29 @@ class TestVolterraSolver:
         assert np.array_equal(
             volterra_renewal_density(kernel, rhs, grid), volterra_renewal_density(kernel, rhs, grid)
         )
+
+    def test_singular_block_is_typed_error(self):
+        upper = np.asfortranarray(np.diag([1.0, 0.0, 1.0]))
+        with pytest.raises(SingularBlockError, match="info = 2") as err:
+            _solve_block(upper, np.ones(3))
+        assert isinstance(err.value, RenewalLabError)
+
+    def test_same_bytes_under_one_and_two_blas_threads(self):
+        # gamma(2,1) on criterion 8's coarser grid for z = (1 + y)^-2: 34,400 nodes
+        code = (
+            "import hashlib; from renewal_lab import Gamma, Grid, renewal_measure; "
+            "phi = renewal_measure(Gamma(2.0, 1.0), Grid(2.0 / 400, 400 * 86)); "
+            "print(hashlib.sha256(phi.density.tobytes()).hexdigest())"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            digests.add(run.stdout.strip())
+        phi = renewal_measure(Gamma(2.0, 1.0), Grid(2.0 / 400, 400 * 86))
+        assert digests == {hashlib.sha256(phi.density.tobytes()).hexdigest()}
 
 
 def _recurrence_direct(dist, t, x_grid, phi, route):
