@@ -62,7 +62,7 @@ class RenewalPath:
         object.__setattr__(self, "events", events)
         if events.size == 0 or events[0] <= 0.0:
             raise ValueError("paths must contain at least one strictly positive event")
-        if not np.all(events[1:] > events[:-1]):  # also rejects NaN
+        if not (events[1:] > events[:-1]).all():  # also rejects NaN
             raise ValueError("event times must be strictly increasing")
         if events[-1] < self.horizon:
             raise ValueError("simulation must run past the horizon")
@@ -75,7 +75,7 @@ class RenewalPath:
         """Number of events in (0, t]; t must lie in [0, horizon]."""
         if not 0.0 <= t <= self.horizon:
             raise HorizonExceededError(f"t = {t:g} outside [0, {self.horizon:g}]")
-        return int(np.searchsorted(self.events, t, side="right"))
+        return int(self.events.searchsorted(t, side="right"))
 
     def count(self, t: float) -> int:
         """N(t): number of renewals in [0, t], counting the origin for pure paths."""
@@ -132,7 +132,7 @@ def simulate_path(dist: Distribution, horizon: float, delay, rng: np.random.Gene
     if tau0 > 0.0:
         events += tau0
         events = np.concatenate(([tau0], events))
-    keep = int(np.searchsorted(events, horizon, side="right")) + 1
+    keep = int(events.searchsorted(horizon, side="right")) + 1
     return RenewalPath(tau0, events[:keep], horizon)
 
 
@@ -194,27 +194,33 @@ def recurrence_times(path: RenewalPath, t: float) -> tuple[float, float]:
 def compensator_at(path: RenewalPath, dist: Distribution, t):
     """Lambda(t) = sum of full-cycle hazard integrals plus the running partial.
 
-    ``t`` is a scalar (the result is a float) or an array.  One
-    cumulative-hazard call covers the cycles completed by max(t) and the
-    running partial of every t; a cumsum over the cycles and a searchsorted
-    locating each t assemble the sums.  Requires a zero-delayed path (the
+    ``t`` is a scalar (the result is a float) or an array; either way a read
+    is one cumulative-hazard call.  For a scalar t it covers the k cycles
+    completed by t and the running partial, and the last entry of their
+    cumsum is the sum.  For an array it covers the cycles completed by
+    max(t) and the running partial of every t; a cumsum over the cycles and
+    a searchsorted locating each t assemble the sums.  Both add the cycle
+    hazards in the same sequential order, so a scalar read equals the
+    matching element of an array read.  Requires a zero-delayed path (the
     hazard clock starts at the origin).
     """
     if not path.is_pure:
         raise ValueError("the compensator decomposition assumes a zero-delayed path")
     ts = np.asarray(t, dtype=float)
-    scalar = ts.ndim == 0
-    if scalar:
-        k = cycles = path.index_of(float(ts))
-    else:
-        path.index_of(ts.min(initial=0.0))  # a NaN anywhere reaches both ends
-        cycles = path.index_of(ts.max(initial=0.0))
-        k = np.searchsorted(path.events, ts, side="right")
+    if ts.ndim == 0:
+        t = float(ts)
+        k = path.index_of(t)
+        spans = np.empty(k + 1)
+        spans[:k] = path.spans[:k]
+        spans[k] = _age(path, t, k)
+        return float(dist.cumulative_hazard(spans).cumsum()[-1])
+    path.index_of(ts.min(initial=0.0))  # a NaN anywhere reaches both ends
+    cycles = path.index_of(ts.max(initial=0.0))
+    k = np.searchsorted(path.events, ts, side="right")
     xi = dist.cumulative_hazard(np.concatenate((path.spans[:cycles], np.ravel(_age(path, ts, k)))))
     full = np.zeros(cycles + 1)
     np.cumsum(xi[:cycles], out=full[1:])
-    out = full[k] + xi[cycles:].reshape(ts.shape)
-    return float(out) if scalar else out
+    return full[k] + xi[cycles:].reshape(ts.shape)
 
 
 @dataclass(frozen=True)
@@ -244,8 +250,8 @@ def _span_sups(path: RenewalPath, T: float) -> tuple[float, float]:
     if T == 0.0:
         raise ValueError("T = 0: the scaled sups need T > 0")
     spans = path.spans[: k + 1]
-    sup_a = max(float(np.max(spans[:k])) if k else 0.0, float(_age(path, T, k)))
-    return sup_a, float(np.max(spans))
+    sup_a = max(float(spans[:k].max()) if k else 0.0, float(_age(path, T, k)))
+    return sup_a, float(spans.max())
 
 
 def scaled_compensator_sup(path: RenewalPath, dist: Distribution, T: float, p: float) -> float:
@@ -273,9 +279,9 @@ def path_max_statistic(path: RenewalPath, dist: Distribution, T: float, statisti
     if not taus.size:
         raise ValueError(f"T = {T:g} precedes the first event {path.events[0]:g}: no cycle starts by T")
     if statistic == "max-tau":
-        return float(np.max(taus))
+        return float(taus.max())
     if statistic == "max-xi":
-        return float(dist.cumulative_hazard(np.max(taus)))
+        return float(dist.cumulative_hazard(taus.max()))
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
@@ -292,7 +298,9 @@ def rootzen_uniform_error(
     max-tau.  G^{mT} is continuous for every pair accepted here (max-tau on a
     bounded law is rejected), so between the jumps of the empirical F_T the
     gap is monotone and the sup is read at the sample points, on both sides
-    of each jump.
+    of each jump.  Each path gives its max tau; for max-xi one
+    cumulative-hazard call maps the whole sample set, which is the per-path
+    max xi since H is nondecreasing.
     """
     if statistic not in ("max-xi", "max-tau"):
         raise ValueError(f'statistic must be "max-xi" or "max-tau", got {statistic!r}')
@@ -302,8 +310,9 @@ def rootzen_uniform_error(
         raise FiniteSupportError("the cycle-max law has bounded support; G^{mT} degenerates")
     samples = np.empty(n_paths)
     for i in range(n_paths):
-        path = simulate_path(dist, T, "zero", rng)
-        samples[i] = path_max_statistic(path, dist, T, statistic)
+        samples[i] = path_max_statistic(simulate_path(dist, T, "zero", rng), dist, T, "max-tau")
+    if statistic == "max-xi":
+        samples = dist.cumulative_hazard(samples)
     samples.sort()
     g = -np.expm1(-samples) if statistic == "max-xi" else np.asarray(dist.cdf(samples), dtype=float)
     target = np.power(np.clip(g, 0.0, 1.0), dist.rate() * T)

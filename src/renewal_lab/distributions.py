@@ -39,10 +39,6 @@ class MomentReport:
     order: float
     value: float
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
 
 def _scalar(out):
     """A float for 0-d output; arrays pass through."""
@@ -107,22 +103,28 @@ class Distribution(ABC):
         """mu(x) = f(x) / (1 - F(x)); fails where the support is exhausted."""
         x = np.asarray(x, dtype=float)
         sf = 1.0 - self._cdf(x)
-        if np.any(sf <= 0.0):
-            raise SupportExhaustedError(
-                f"hazard undefined at x >= {self.support_end():g} for {self.kind}"
-            )
+        exhausted = sf <= 0.0
+        if exhausted.any():
+            self._raise_exhausted("hazard undefined", x, exhausted)
         return _scalar(self._density(x) / sf)
 
     def cumulative_hazard(self, x):
         """-log(1 - F(x)); nondecreasing, equals the integrated hazard."""
         x = np.asarray(x, dtype=float)
         cdf = self._cdf(x)
-        if np.any(cdf >= 1.0):
-            raise SupportExhaustedError(
-                f"cumulative hazard diverges at x >= {self.support_end():g} "
-                f"for {self.kind}"
-            )
+        exhausted = cdf >= 1.0
+        if exhausted.any():
+            self._raise_exhausted("cumulative hazard diverges", x, exhausted)
         return _scalar(-np.log1p(-cdf))
+
+    def _raise_exhausted(self, what: str, x, exhausted):
+        """Raise for the first x with F(x) = 1: at or past the end of a bounded
+        support, or in the tail of an unbounded law, where F(x) rounds to 1."""
+        first = float(x[exhausted][0])
+        end = self.support_end()
+        if first >= end:
+            raise SupportExhaustedError(f"{what} at x >= {end:g} for {self.kind}")
+        raise SupportExhaustedError(f"{what} at x = {first:g} for {self.kind}: F(x) rounds to 1 in double precision")
 
     # -- sampling -----------------------------------------------------------
 

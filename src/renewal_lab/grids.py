@@ -156,10 +156,6 @@ class GridMeasure:
 
         return value_at(hi) - value_at(lo)
 
-    @staticmethod
-    def dirac(grid: Grid) -> "GridMeasure":
-        return GridMeasure(grid, 1.0, np.zeros(grid.n_nodes))
-
 
 # a middle product is summed directly while its multiply-adds stay within
 # _CROSSOVER N log2 N, N the power-of-two length its FFT would take

@@ -95,6 +95,20 @@ class TestHazard:
         with pytest.raises(SupportExhaustedError):
             d.cumulative_hazard(2.5)
 
+    def test_support_end_named_for_bounded_law(self):
+        with pytest.raises(SupportExhaustedError, match=r"diverges at x >= 2 for uniform$"):
+            Uniform(1.0, 2.0).cumulative_hazard(np.array([1.5, 2.5]))
+
+    @pytest.mark.parametrize("d, x", [(Exponential(1.0), 38.0), (Gamma(2.0, 1.0), 45.0), (ShiftedPareto(3.5, 1.0), 1e5)],
+                             ids=["exponential", "gamma", "shifted-pareto"])
+    def test_tail_rounding_named_for_unbounded_law(self, d, x):
+        # F(x) rounds to 1 far in the tail; the message names the first such x
+        # of the array, not the infinite support end
+        with pytest.raises(SupportExhaustedError, match=rf"diverges at x = {x:g} for {d.kind}: F\(x\) rounds to 1"):
+            d.cumulative_hazard(np.array([1.0, x, 2.0 * x]))
+        with pytest.raises(SupportExhaustedError, match=rf"undefined at x = {x:g} for {d.kind}: F\(x\) rounds to 1"):
+            d.hazard(x)
+
     def test_hazard_survival_identity(self, dist):
         xs = np.linspace(0.05, 0.95 * min(dist.support_end(), 10.0), 67)
         lhs = np.asarray(dist.hazard(xs)) * (1.0 - np.asarray(dist.cdf(xs)))
@@ -123,12 +137,12 @@ class TestMoments:
 
     def test_pareto_divergence_flag(self):
         rep = ShiftedPareto(2.5, 1.0).moment(3.0)
-        assert not rep.is_finite and rep.value == math.inf
+        assert rep.value == math.inf
 
     @pytest.mark.parametrize("order", [1.0, 1.7, 2.0, 3.0])
     def test_closed_forms_match_quadrature(self, dist, order):
         rep = dist.moment(order)
-        if not rep.is_finite:
+        if math.isinf(rep.value):
             assert dist.kind == "shifted-pareto" and order >= dist.tail
             return
         hi = min(dist.support_end(), np.inf)
@@ -139,7 +153,7 @@ class TestMoments:
         mean = dist.moment(1.0).value
         for s in [1.5, 2.0, 3.0]:
             rep = dist.moment(s)
-            if rep.is_finite:
+            if math.isfinite(rep.value):
                 assert rep.value >= mean**s * (1.0 - 1e-12)
 
 

@@ -86,14 +86,14 @@ class TestConvolution:
     def test_dirac_is_identity_on_measures(self):
         grid = Grid(0.01, 400)
         mu = bump_measure(grid, 1.5, 0.8)
-        out = convolve_measures(GridMeasure.dirac(grid), mu)
+        out = convolve_measures(GridMeasure(grid, 1.0, np.zeros(grid.n_nodes)), mu)
         assert out.atom0 == mu.atom0
         assert np.max(np.abs(out.density - mu.density)) == 0.0
 
     def test_dirac_is_identity_on_functions(self):
         grid = Grid(0.01, 400)
         z = GridFunction.from_callable(grid, lambda x: np.sin(x) + 2.0)
-        out = convolve_measure_function(GridMeasure.dirac(grid), z)
+        out = convolve_measure_function(GridMeasure(grid, 1.0, np.zeros(grid.n_nodes)), z)
         assert np.max(np.abs(out.values - z.values)) == 0.0
 
     def test_constant_density_times_one(self):

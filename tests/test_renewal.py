@@ -324,8 +324,7 @@ class TestRenewalMeasure:
         kernel = measure_from_distribution(d, grid)
         from renewal_lab.grids import GridMeasure
 
-        total = GridMeasure.dirac(grid)
-        power = GridMeasure.dirac(grid)
+        total = power = GridMeasure(grid, 1.0, np.zeros(grid.n_nodes))
         for _ in range(40):
             power = convolve_measures(power, kernel)
             total = GridMeasure(grid, total.atom0 + power.atom0, total.density + power.density)
@@ -348,9 +347,12 @@ class TestRenewalMeasure:
     def test_elementary_renewal_ratio(self, dist):
         grid = small_grid(dist, horizon_means=55.0)
         phi = renewal_measure(dist, grid)
-        t = 50.0 * dist.mean()
-        ratio = phi.interval_mass(-1.0, t) / t
-        assert abs(ratio - dist.rate()) / dist.rate() < 0.05
+        mu = dist.mean()
+        t = 50.0 * mu
+        renewals = phi.interval_mass(0.0, t)  # Phi((0, t]): the atom at 0 is not a renewal after 0
+        assert abs(renewals / t - dist.rate()) / dist.rate() < 0.05
+        # second order: Phi([0, t]) = t / mu + E[tau^2] / (2 mu^2) + o(1)
+        assert abs(renewals - (t / mu + dist.moment(2.0).value / (2.0 * mu**2) - 1.0)) <= 0.05
 
     def test_exponential_measure_convolved_with_own_density_is_constant(self):
         # e^-t + int_0^t e^-(t-u) du = 1 identically (not the tempting (1+t)e^-t)
