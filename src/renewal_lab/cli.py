@@ -39,7 +39,7 @@ from .asymptotics import krt_error_curve
 from .compensator import rootzen_uniform_error, simulate_path
 from .coupling import find_common_component, simulate_coupling
 from .distributions import _config_number, distribution_from_config
-from .errors import ConfigError, RenewalLabError
+from .errors import ConfigError, HorizonExceededError, RenewalLabError
 from .grids import Grid, GridFunction, GridMeasure
 from .renewal import (
     default_grid,
@@ -116,6 +116,19 @@ def _read(cfg: dict, field: str, default):
             raise ConfigError(field, f"expected an integer >= 1, got {value!r}")
         return value
     return _config_number(field, value)
+
+
+def _read_times(cfg: dict, field: str, default: list, grid: Grid) -> list:
+    """``_read`` of a list of times at which the renewal measure on ``grid``
+    is read: each must lie in [0, horizon], checked before anything is
+    solved or simulated, and ``ConfigError`` names the field otherwise."""
+    ts = _read(cfg, field, default)
+    for t in ts:
+        try:
+            grid.index_of(t)
+        except HorizonExceededError as exc:
+            raise ConfigError(field, str(exc)) from None
+    return ts
 
 
 def _task_rng(seed: int, index: int) -> np.random.Generator:
@@ -330,7 +343,7 @@ def bt(runner: Runner, cfg: dict):
     """Forward-recurrence laws at configured probe times plus TV distances."""
     dist = distribution_from_config(cfg.get("distribution", {}))
     grid = _resolve_grid(cfg, dist)
-    ts = _read(cfg, "ts", [2.0 * dist.mean(), 10.0 * dist.mean()])
+    ts = _read_times(cfg, "ts", [2.0 * dist.mean(), 10.0 * dist.mean()], grid)
     measure = renewal_measure(dist, grid)
     rows = []
     for i, t in enumerate(ts):
@@ -359,6 +372,7 @@ def couple(runner: Runner, cfg: dict):
     dist = distribution_from_config(cfg.get("distribution", {}))
     grid = _resolve_grid(cfg, dist)
     n_traces = _read(cfg, "n_traces", 2000)
+    ts = _read_times(cfg, "t_checks", [5.0 * dist.mean()], grid)
     measure = renewal_measure(dist, grid)
     params = find_common_component(dist, phi=measure)
     traces = [
@@ -393,7 +407,6 @@ def couple(runner: Runner, cfg: dict):
             f"|p - delta^2| <= {band:g}",
         )
     )
-    ts = _read(cfg, "t_checks", [5.0 * dist.mean()])
     # the tail estimate behind the inequality needs >= 1000 traces
     if ts and n_traces >= 1000:
         runner.check(check_coupling_inequality(dist, traces, measure, ts))

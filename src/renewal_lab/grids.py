@@ -6,11 +6,11 @@ renewal series.  All integrals and convolutions use the trapezoidal rule,
 which keeps the discrete convolution algebra commutative and associative to
 rounding error while being O(h^2) accurate on smooth inputs.
 
-Every multi-output trapezoidal product is one middle product (Hanrot,
-Quercia & Zimmermann 2004): only the outputs kept are computed, summed
-directly while that is cheap and by one power-of-two FFT above, by the one
-rule ``_direct_is_cheaper`` that the Volterra solver's stretch products
-also use.  Convolutions truncate at the horizon; the mass that survives
+Every multi-output trapezoidal product, the Volterra solver's stretch
+products included, is one middle product (Hanrot, Quercia & Zimmermann
+2004): only the outputs kept are computed, summed directly while that is
+cheap and otherwise by one FFT at the smallest 5-smooth length that holds
+them.  Convolutions truncate at the horizon; the mass that survives
 truncation is always available via ``total_mass`` so callers can detect a
 horizon that is too short instead of silently losing tail mass.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .distributions import Distribution, Uniform
 from .errors import HorizonExceededError, IncompatibleGridsError, NotNormalizedError
@@ -158,7 +159,10 @@ class GridMeasure:
 
 
 # a middle product is summed directly while its multiply-adds stay within
-# _CROSSOVER N log2 N, N the power-of-two length its FFT would take
+# _CROSSOVER N log2 N, N the power of two its inputs fit in.  Its FFT runs at
+# the shorter 5-smooth length, but deciding on that length would send some
+# of the coupling's reads (600-1000 weights, 201 outputs) to an FFT 1.5-2.5x
+# slower than their direct sum
 _CROSSOVER = 16
 
 
@@ -172,15 +176,16 @@ def _middle_product(w: np.ndarray, vals: np.ndarray, count: int) -> np.ndarray:
     """out[j] = sum_i w[i] vals[kt + j - i] for j = 0..count, kt = len(w) - 1.
 
     These are the count + 1 outputs of np.convolve(w, vals) from index kt on
-    (Hanrot, Quercia & Zimmermann 2004).  They are summed directly or, where
-    ``_direct_is_cheaper`` says the FFT wins, taken from one power-of-two
-    cyclic product of length >= kt + count + 1, whose wrap-around stays
-    below index kt.
+    (Hanrot, Quercia & Zimmermann 2004), with len(vals) = kt + count + 1.
+    They are summed directly where ``_direct_is_cheaper`` says so for the
+    power-of-two length >= kt + count + 1, and otherwise taken from one
+    cyclic product at ``next_fast_len(kt + count + 1)``, whose wrap-around
+    stays below index kt.  This is the one home of np.fft and np.convolve.
     """
     kt = len(w) - 1
-    size = 1 << (kt + count).bit_length()
-    if _direct_is_cheaper(kt + 1, count + 1, size):
+    if _direct_is_cheaper(kt + 1, count + 1, 1 << (kt + count).bit_length()):
         return np.convolve(vals, w, mode="valid")
+    size = next_fast_len(kt + count + 1, real=True)
     return np.fft.irfft(np.fft.rfft(vals, size) * np.fft.rfft(w, size), size)[kt : kt + count + 1]
 
 
@@ -189,8 +194,12 @@ def _convolve_densities(a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray
 
     Outputs 0..n-1 of the linear product, as the middle product of a with b
     zero-padded by n - 1 nodes, with the two endpoint terms half-weighted.
-    The Volterra solver's residual is recomputed through this path, which
-    shares no summation code with the solver's blocked stretch products.
+    The Volterra solver's residual is recomputed through this path.  It
+    shares ``_middle_product`` with the solver's stretch products, but not
+    their blocking: it is one product over the whole history, with its own
+    endpoint weights and no triangular solve, so it checks how the solver
+    splits and assembles the sum.  The solver's independent oracle
+    is the per-node forward substitution ``_volterra_direct`` of the tests.
     """
     n = a.shape[0]
     full = _middle_product(a, np.concatenate((np.zeros(n - 1), b)), n - 1)

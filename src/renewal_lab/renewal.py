@@ -7,11 +7,12 @@ term, which is unconditionally stable for subprobability kernels and O(h^2)
 accurate.  The discrete equation is a lower-triangular Toeplitz system; it
 is solved by relaxed (online) convolution in O(n log^2 n): dense 256-node
 blocks, each one LAPACK ``dtrtrs`` call, with the effect of each solved
-stretch on the next pushed forward by one cyclic FFT product (Hairer,
-Lubich & Schlichte 1985; van der Hoeven 2002).  The forward recurrence law
+stretch on the next pushed forward by one ``grids._middle_product`` (Hairer,
+Lubich & Schlichte 1985; van der Hoeven 2002), the product every
+multi-output trapezoidal sum goes through.  The forward recurrence law
 at time t is evaluated from the identity
 P(B_t <= x) = int_0^t F((t-u, t+x-u]) Phi(du), and its density the same way
-with f: on the X + 1 x-nodes each is one ``grids._middle_product`` of the
+with f: on the X + 1 x-nodes each is one middle product of the
 trapezoid weights of Phi on [0, t] with F or f on the lattice.  The total
 variation distance to the stationary delay law compares that CDF with the
 closed-form stationary CDF cell by cell, so no density is formed for it.
@@ -32,7 +33,6 @@ from .grids import (
     Grid,
     GridFunction,
     GridMeasure,
-    _direct_is_cheaper,
     _middle_product,
     convolve_measure_function,
     measure_from_distribution,
@@ -95,11 +95,11 @@ def volterra_renewal_density(kernel: np.ndarray, rhs: np.ndarray, grid: Grid) ->
     triangular matrix, each by one direct LAPACK ``dtrtrs`` call
     (``_solve_block``).  After the block ending at node i, with s = 256 * 2^v
     the largest such size dividing i (i / s odd), the stretch x[i-s:i] adds
-    its effect on the next s nodes through one cyclic middle product of
-    length 2s: every node pair then meets exactly once, in O(n log^2 n).
-    The spectrum of h k[1:2s] is computed once per size s and call, and
-    dropped after the last product of that size: the spectra no later
-    product reads would outweigh the 256 x 256 block at the memory peak.
+    its effect on the next out = min(s, n - i) nodes through one
+    ``grids._middle_product`` of its s values with h k[1 : s + out]: every
+    node pair then meets exactly once, in O(n log^2 n).  Only the out
+    outputs kept are computed, so the last product of a solve is as short
+    as what is left of the grid.
     """
     h = grid.step
     n = grid.count
@@ -118,7 +118,6 @@ def volterra_renewal_density(kernel: np.ndarray, rhs: np.ndarray, grid: Grid) ->
     # the lower-triangular Toeplitz block in C order; its transpose is the
     # Fortran-ordered upper-triangular array LAPACK reads without a copy
     upper = toeplitz(np.concatenate(([diag], -hk[1:m])), np.zeros(m)).T
-    spectra: dict[int, np.ndarray] = {}
     for start in range(0, n, m):
         stop = min(start + m, n)
         width = stop - start
@@ -128,17 +127,7 @@ def volterra_renewal_density(kernel: np.ndarray, rhs: np.ndarray, grid: Grid) ->
         blocks = stop // m
         s = m * (blocks & -blocks)
         out = min(s, n - stop)
-        taps = hk[1 : 2 * s]
-        if _direct_is_cheaper(s, s, 2 * s):
-            middle = np.convolve(taps, y[stop - s : stop], mode="valid")
-        else:
-            spectrum = spectra.pop(s, None)
-            if spectrum is None:
-                spectrum = np.fft.rfft(taps, 2 * s)
-            if stop + 2 * s < n:  # size s comes back at stop + 2s
-                spectra[s] = spectrum
-            middle = np.fft.irfft(np.fft.rfft(y[stop - s : stop], 2 * s) * spectrum, 2 * s)[s - 1 :]
-        acc[stop : stop + out] += middle[:out]
+        acc[stop : stop + out] += _middle_product(y[stop - s : stop], hk[1 : s + out], out - 1)
     return x
 
 
@@ -224,7 +213,8 @@ def forward_recurrence_cdf(
     time grid's step so every F evaluation lands on one common lattice; the
     integral over the X + 1 x-nodes is one middle product of the trapezoid
     weights of Phi with F on the lattice, in (kt + 1)(X + 1) multiply-adds
-    or, where those exceed 16 N log2 N for the FFT length N, by FFT.
+    or, where those exceed 16 N log2 N for N the power of two that holds
+    the kt + X + 1 lattice values, by FFT.
     """
     x_grid, values, _ = _recurrence_cdf(dist, t, x_grid, phi)
     return GridFunction(x_grid, values)

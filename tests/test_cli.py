@@ -121,6 +121,11 @@ _BAD_NUMBERS = {
     "krt-window-lo-zero": ("krt", {"window_lo_means": 0}, "window_lo_means"),
     "z-exponent-one": ("krt", {"z_exponent": 1.0}, "z_exponent"),
     "dump-paths-string": ("compensator", {"dump_paths": "no"}, "dump_paths"),
+    # probe times are checked against the grid horizon (30) before any solve
+    "ts-past-horizon": ("bt", {"ts": [50.0]}, "ts"),
+    "ts-negative": ("bt", {"ts": [-1.0, 4.0]}, "ts"),
+    "t-checks-past-horizon": ("couple", {"t_checks": [100.0]}, "t_checks"),
+    "t-checks-negative": ("couple", {"t_checks": [-2.0]}, "t_checks"),
     # a config that is not an object replaces BASE whole
     "config-list": ("phi", [1, 2], "config"),
 }
@@ -134,6 +139,8 @@ def test_bad_config_numbers_name_their_field(runner, tmp_path, case):
     res = runner.invoke(main, [subcommand, "--config", cfg, "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert f"config error: {field}:" in res.stderr
+    # the config is checked before any artifact is written
+    assert not any((tmp_path / "o").glob("*"))
 
 
 def test_non_object_config_with_env_seed_is_config_error(runner, tmp_path, monkeypatch):

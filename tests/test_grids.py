@@ -16,7 +16,7 @@ from renewal_lab import (
     tv_distance,
 )
 from renewal_lab.errors import HorizonExceededError, IncompatibleGridsError, NotNormalizedError
-from renewal_lab.grids import _convolve_densities, convolve_measure_function_at, inverse_cdf
+from renewal_lab.grids import _convolve_densities, _middle_product, convolve_measure_function_at, inverse_cdf
 
 
 def _convolve_densities_direct(a, b, step):
@@ -186,6 +186,15 @@ class TestConvolution:
             direct = _convolve_densities_direct(a, b, grid.step)
             assert out.shape == direct.shape == (n,)
             assert np.max(np.abs(out - direct)) <= 1e-12 * max(np.max(np.abs(direct)), 1e-300)
+
+    def test_short_wide_product_is_summed_directly(self, rng):
+        # 601 weights and 201 outputs, the shape of the coupling's recurrence
+        # reads: 120,801 multiply-adds are within 16 N log2 N at the
+        # power-of-two N = 1024, though not at the 5-smooth FFT length 810,
+        # so the product is the direct sum, equal to np.convolve bit for bit
+        w = rng.random(601)
+        vals = rng.random(801)
+        np.testing.assert_array_equal(_middle_product(w, vals, 200), np.convolve(w, vals)[600:801])
 
     def test_self_convolution_clips_rounding_only(self, dist):
         # convolve_measures clips the negatives of FFT round-off where the

@@ -65,7 +65,9 @@ def _volterra_direct(kernel, rhs, grid):
 
 
 class TestVolterraSolver:
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 255, 256, 257, 500, 511, 513, 1025, 3000])
+    # 4097 and 8193 end on a stretch product that keeps 1 output; 6000 has
+    # one that keeps 1904 of 4096, by FFT at the 5-smooth length 6000
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 255, 256, 257, 500, 511, 513, 1025, 3000, 4097, 6000, 8193])
     @pytest.mark.parametrize("forcing", ["kernel", "linear"])
     def test_matches_direct_substitution(self, dist, n, forcing):
         grid = Grid(dist.mean() / 200.0, n)
