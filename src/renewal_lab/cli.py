@@ -373,6 +373,12 @@ def couple(runner: Runner, cfg: dict):
     grid = _resolve_grid(cfg, dist)
     n_traces = _read(cfg, "n_traces", 2000)
     ts = _read_times(cfg, "t_checks", [5.0 * dist.mean()], grid)
+    if ts and n_traces < 1000:
+        raise ConfigError(
+            "t_checks",
+            f"the coupling-inequality tail estimate needs n_traces >= 1000, got {n_traces}; "
+            "set t_checks: [] to run fewer traces",
+        )
     measure = renewal_measure(dist, grid)
     params = find_common_component(dist, phi=measure)
     traces = [
@@ -407,8 +413,7 @@ def couple(runner: Runner, cfg: dict):
             f"|p - delta^2| <= {band:g}",
         )
     )
-    # the tail estimate behind the inequality needs >= 1000 traces
-    if ts and n_traces >= 1000:
+    if ts:
         runner.check(check_coupling_inequality(dist, traces, measure, ts))
 
 

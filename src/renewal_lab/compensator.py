@@ -91,15 +91,12 @@ class RenewalPath:
         spans.flags.writeable = False
         return spans
 
-    def interarrivals(self) -> np.ndarray:
-        """tau_1, tau_2, ... (the delay is not an interarrival); a read-only view."""
-        return self.spans if self.is_pure else self.spans[1:]
-
 
 def simulate_path(dist: Distribution, horizon: float, delay, rng: np.random.Generator) -> RenewalPath:
     """Simulate a renewal path until the first event strictly past the horizon.
 
-    ``delay`` is "zero", "stationary", or a fixed nonnegative time.
+    ``delay`` is "zero" or a fixed finite time >= 0.  A stationary path is
+    ``simulate_path(dist, horizon, dist.sample_stationary_delay(rng), rng)``.
     """
     if rng is None:
         raise ValueError("an explicitly seeded rng is required")
@@ -107,12 +104,10 @@ def simulate_path(dist: Distribution, horizon: float, delay, rng: np.random.Gene
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     if delay == "zero":
         tau0 = 0.0
-    elif delay == "stationary":
-        tau0 = dist.sample_stationary_delay(rng)
+    elif isinstance(delay, str) or not 0.0 <= delay < math.inf:
+        raise ValueError(f'delay must be "zero" or a finite time >= 0, got {delay!r}')
     else:
         tau0 = float(delay)
-        if not 0.0 <= tau0 < math.inf:
-            raise ValueError(f"fixed delay must be finite and >= 0, got {tau0}")
 
     mean = dist.mean()
     chunks = []

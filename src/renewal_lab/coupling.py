@@ -194,17 +194,15 @@ class CouplingTrace:
 
     Row k of ``eta`` holds (eta_k, eta_hat_k); row k of ``beta`` holds the
     recurrence draws made from that state (for the accepted row both entries
-    equal ``final_uniform``, the shared renewal offset).  ``indicators[k]``
-    is 1 exactly at k = sigma.
+    equal the shared renewal offset).  ``indicators[k]`` is 1 exactly at
+    k = sigma.
     """
 
-    params: CouplingParams
     eta: np.ndarray
     beta: np.ndarray
     indicators: np.ndarray
     sigma: int
     coupling_time: float
-    final_uniform: float
     accepted_draw: tuple[float, float]
 
 
@@ -285,13 +283,11 @@ def simulate_coupling(
             indicators.append(1)
             sigma = len(indicators) - 1
             return CouplingTrace(
-                params=params,
                 eta=np.asarray(etas),
                 beta=np.asarray(betas),
                 indicators=np.asarray(indicators),
                 sigma=sigma,
                 coupling_time=L + shared,
-                final_uniform=shared,
                 accepted_draw=(beta, beta_hat),
             )
         betas.append((beta, beta_hat))

@@ -1,4 +1,4 @@
-"""Parametric interarrival laws with exact density, CDF, hazard and sampling.
+"""Parametric interarrival laws with exact density, CDF, cumulative hazard and sampling.
 
 Four families are supported: exponential, gamma (shape >= 1), uniform on
 [lo, hi] with lo >= 0, and the shifted Pareto (Lomax) law with density
@@ -99,32 +99,24 @@ class Distribution(ABC):
 
     # -- derived functions --------------------------------------------------
 
-    def hazard(self, x):
-        """mu(x) = f(x) / (1 - F(x)); fails where the support is exhausted."""
-        x = np.asarray(x, dtype=float)
-        sf = 1.0 - self._cdf(x)
-        exhausted = sf <= 0.0
-        if exhausted.any():
-            self._raise_exhausted("hazard undefined", x, exhausted)
-        return _scalar(self._density(x) / sf)
-
     def cumulative_hazard(self, x):
-        """-log(1 - F(x)); nondecreasing, equals the integrated hazard."""
+        """-log(1 - F(x)), the integrated hazard; nondecreasing.
+
+        Raises for the first x with F(x) = 1: at or past the end of a bounded
+        support, or in the tail of an unbounded law, where F(x) rounds to 1.
+        """
         x = np.asarray(x, dtype=float)
         cdf = self._cdf(x)
         exhausted = cdf >= 1.0
         if exhausted.any():
-            self._raise_exhausted("cumulative hazard diverges", x, exhausted)
+            first = float(x[exhausted][0])
+            end = self.support_end()
+            if first >= end:
+                raise SupportExhaustedError(f"cumulative hazard diverges at x >= {end:g} for {self.kind}")
+            raise SupportExhaustedError(
+                f"cumulative hazard diverges at x = {first:g} for {self.kind}: F(x) rounds to 1 in double precision"
+            )
         return _scalar(-np.log1p(-cdf))
-
-    def _raise_exhausted(self, what: str, x, exhausted):
-        """Raise for the first x with F(x) = 1: at or past the end of a bounded
-        support, or in the tail of an unbounded law, where F(x) rounds to 1."""
-        first = float(x[exhausted][0])
-        end = self.support_end()
-        if first >= end:
-            raise SupportExhaustedError(f"{what} at x >= {end:g} for {self.kind}")
-        raise SupportExhaustedError(f"{what} at x = {first:g} for {self.kind}: F(x) rounds to 1 in double precision")
 
     # -- sampling -----------------------------------------------------------
 
@@ -288,8 +280,6 @@ class Uniform(Distribution):
             raise ValueError(f"uniform lo must be >= 0, got {self.lo}")
         if not self.hi > self.lo:
             raise ValueError(f"uniform needs hi > lo, got [{self.lo}, {self.hi}]")
-        if self.lo == 0.0 and self.hi == 0.0:
-            raise ValueError("degenerate uniform")
 
     def support_end(self) -> float:
         return self.hi

@@ -32,6 +32,7 @@ __all__ = [
     "convolve_measures",
     "convolve_measure_function",
     "tv_distance",
+    "overlap_mass",
     "measure_from_distribution",
 ]
 

@@ -126,6 +126,8 @@ _BAD_NUMBERS = {
     "ts-negative": ("bt", {"ts": [-1.0, 4.0]}, "ts"),
     "t-checks-past-horizon": ("couple", {"t_checks": [100.0]}, "t_checks"),
     "t-checks-negative": ("couple", {"t_checks": [-2.0]}, "t_checks"),
+    # the coupling-inequality tail estimate needs 1000 traces
+    "t-checks-few-traces": ("couple", {"n_traces": 50, "t_checks": [10.0]}, "t_checks"),
     # a config that is not an object replaces BASE whole
     "config-list": ("phi", [1, 2], "config"),
 }

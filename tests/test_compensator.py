@@ -75,7 +75,7 @@ class TestPaths:
         t_checks = [0.0, 3.0, 9.0]
         incs = {t: [] for t in t_checks}
         for _ in range(4000):
-            path = simulate_path(d, 16.0, "stationary", rng)
+            path = simulate_path(d, 16.0, d.sample_stationary_delay(rng), rng)
             for t in t_checks:
                 incs[t].append(path.count(t + s) - path.count(t))
         means = {t: np.mean(v) for t, v in incs.items()}
@@ -91,7 +91,7 @@ class TestPaths:
         probes = [1.0, 6.0, 14.0]
         draws = {t: [] for t in probes}
         for _ in range(4000):
-            path = simulate_path(d, 16.0, "stationary", rng)
+            path = simulate_path(d, 16.0, d.sample_stationary_delay(rng), rng)
             for t in probes:
                 draws[t].append(recurrence_times(path, t)[1])
         for t in probes:
@@ -192,9 +192,10 @@ class TestCompensator:
             assert compensator_at(path, d, t) == pytest.approx(2.0 * t, rel=1e-9, abs=1e-12)
 
     def test_rejects_delayed_paths(self, rng):
-        path = simulate_path(Exponential(1.0), 5.0, "stationary", rng)
+        d = Exponential(1.0)
+        path = simulate_path(d, 5.0, d.sample_stationary_delay(rng), rng)
         with pytest.raises(ValueError):
-            compensator_at(path, Exponential(1.0), 1.0)
+            compensator_at(path, d, 1.0)
 
     def test_martingale_centering(self, dist, rng):
         # E[N(t) - 1 - Lambda(t)] = 0 for the origin-counting convention
@@ -257,9 +258,9 @@ class TestBadInput:
         with pytest.raises(ValueError, match="^horizon must be"):
             simulate_path(Exponential(1.0), horizon, "zero", rng)
 
-    @pytest.mark.parametrize("delay", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -1.0, "stationary", "zeros"])
     def test_simulate_path_rejects_bad_fixed_delay(self, rng, delay):
-        with pytest.raises(ValueError, match="^fixed delay must be"):
+        with pytest.raises(ValueError, match=r'^delay must be "zero" or a finite time >= 0, got '):
             simulate_path(Exponential(1.0), 10.0, delay, rng)
 
     def test_recurrence_times_rejects_nan_t(self, rng):
@@ -308,7 +309,7 @@ class TestCycleHazards:
     def test_exponential_identity(self, rng):
         d = Exponential(1.0)
         path = simulate_path(d, 50.0, "zero", rng)
-        taus = path.interarrivals()
+        taus = path.spans
         assert np.max(np.abs(cycle_hazards(path, d).xi - taus)) < 1e-12
 
     def test_pooled_law_is_standard_exponential(self, dist, rng):
@@ -468,13 +469,14 @@ class TestSpanReaders:
         H = 15.0 * dist.mean()
         fixed = 0.7 * dist.mean()
         for _ in range(12):
-            path = simulate_path(dist, H, fixed if delay == "fixed" else delay, rng)
+            start = dist.sample_stationary_delay(rng) if delay == "stationary" else delay
+            path = simulate_path(dist, H, fixed if delay == "fixed" else start, rng)
             at_events = path.events[path.events <= H]
             # random times, T exactly at an event, before the first event, at the horizon
             edges = [*at_events[:2], *at_events[-1:], 0.5 * path.events[0], 0.0, H]
             ts = np.concatenate((np.sort(rng.uniform(0.0, H, 9)), edges))
             ts = ts[ts <= H]
-            assert np.array_equal(path.interarrivals(), _interarrivals_oracle(path))
+            assert np.array_equal(path.spans[int(not path.is_pure) :], _interarrivals_oracle(path))
             for t in ts:
                 t = float(t)
                 assert recurrence_times(path, t) == _recurrence_times_oracle(path, t)
@@ -497,9 +499,10 @@ class TestSpanReaders:
     @pytest.mark.parametrize("delay", [0.0, 1.5])
     def test_interarrivals_are_read_only(self, delay):
         path = RenewalPath(delay, np.array([1.5, 2.0, 5.0]) if delay else np.array([2.0, 5.0]), 3.0)
-        assert np.array_equal(path.interarrivals(), [0.5, 3.0] if delay else [2.0, 3.0])
+        taus = path.spans[1:] if delay else path.spans
+        assert np.array_equal(taus, [0.5, 3.0] if delay else [2.0, 3.0])
         with pytest.raises(ValueError):
-            path.interarrivals()[0] = 1.0
+            taus[0] = 1.0
 
 
 # Oracle for the one-hazard-call scalar read: the body that summed the cycle

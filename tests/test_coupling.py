@@ -203,9 +203,10 @@ class TestCouplingChain:
             assert np.all(tr.indicators[:-1] == 0) and tr.indicators[-1] == 1
             ls = np.max(tr.eta, axis=1) + params.d
             assert np.all(np.diff(ls) > 0.0)
-            assert 0.0 < tr.final_uniform < params.b
-            assert tr.coupling_time == pytest.approx(ls[-1] + tr.final_uniform)
-            assert tr.beta[-1, 0] == tr.beta[-1, 1] == tr.final_uniform
+            shared = tr.beta[tr.sigma, 0]
+            assert 0.0 < shared < params.b
+            assert tr.coupling_time == pytest.approx(ls[-1] + shared)
+            assert tr.beta[-1, 1] == shared
 
     def test_sigma_is_geometric(self, gamma_traces):
         d, phi, params, traces = gamma_traces

@@ -77,21 +77,10 @@ class TestCdf:
 
 
 class TestHazard:
-    def test_exponential_hazard_constant(self):
-        d = Exponential(1.7)
-        for x in [0.0, 0.3, 5.0]:
-            assert d.hazard(x) == pytest.approx(1.7, rel=1e-12)
-
-    def test_uniform_hazard_value(self):
-        assert Uniform(0.0, 1.0).hazard(0.5) == pytest.approx(2.0, rel=1e-12)
-
-    def test_pareto_hazard_at_zero(self):
-        assert ShiftedPareto(3.5, 2.0).hazard(0.0) == pytest.approx(3.5 / 2.0, rel=1e-12)
-
     def test_support_exhausted(self):
         d = Uniform(1.0, 2.0)
         with pytest.raises(SupportExhaustedError):
-            d.hazard(2.0)
+            d.cumulative_hazard(2.0)
         with pytest.raises(SupportExhaustedError):
             d.cumulative_hazard(2.5)
 
@@ -106,13 +95,8 @@ class TestHazard:
         # of the array, not the infinite support end
         with pytest.raises(SupportExhaustedError, match=rf"diverges at x = {x:g} for {d.kind}: F\(x\) rounds to 1"):
             d.cumulative_hazard(np.array([1.0, x, 2.0 * x]))
-        with pytest.raises(SupportExhaustedError, match=rf"undefined at x = {x:g} for {d.kind}: F\(x\) rounds to 1"):
-            d.hazard(x)
-
-    def test_hazard_survival_identity(self, dist):
-        xs = np.linspace(0.05, 0.95 * min(dist.support_end(), 10.0), 67)
-        lhs = np.asarray(dist.hazard(xs)) * (1.0 - np.asarray(dist.cdf(xs)))
-        assert np.max(np.abs(lhs - dist.density(xs))) < 1e-12
+        with pytest.raises(SupportExhaustedError, match=rf"diverges at x = {x:g} for {d.kind}: F\(x\) rounds to 1"):
+            d.cumulative_hazard(x)
 
     def test_cumulative_hazard_identity_and_monotone(self, dist):
         xs = np.linspace(0.0, 0.95 * min(dist.support_end(), 10.0), 67)
@@ -299,12 +283,11 @@ _LAW_METHODS = (
     "density",
     "cdf",
     "quantile",
-    "hazard",
     "cumulative_hazard",
     "stationary_delay_density",
     "stationary_delay_cdf",
 )
-# inside [0, 1) for quantile and below every support end for the hazards
+# inside [0, 1) for quantile and below every support end for the cumulative hazard
 _CONTRACT_POINTS = np.linspace(0.05, 0.9, 6)
 
 
