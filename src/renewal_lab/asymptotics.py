@@ -45,9 +45,7 @@ class SlopeFit:
     slope: float
     intercept: float
     r2: float
-    window: tuple[float, float]
     n_points: int
-    n_excluded: int
 
 
 def limit_integral(z_fn, tail_exponent: float, split: float) -> float:
@@ -105,17 +103,17 @@ def tv_decay_curve(
 def fit_slope(curve: DecayCurve, window: tuple[float, float], floor: float = 0.0) -> SlopeFit:
     """Ordinary least squares of log err against log x inside the window.
 
-    Points with err <= floor are excluded (and counted); fewer than five
-    usable points is an error rather than a silent bad fit.
+    Points with err <= floor are excluded; fewer than five usable points is
+    an error, which counts the excluded ones, rather than a silent bad fit.
     """
     lo, hi = window
     in_window = (curve.xs >= lo) & (curve.xs <= hi)
     usable = in_window & (curve.errs > floor)
-    n_excluded = int(np.sum(in_window) - np.sum(usable))
-    if int(np.sum(usable)) < 5:
+    n_points = int(np.sum(usable))
+    if n_points < 5:
         raise InsufficientPointsError(
-            f"{int(np.sum(usable))} usable points in window [{lo:g}, {hi:g}] "
-            f"({n_excluded} below the floor {floor:g}); need >= 5"
+            f"{n_points} usable points in window [{lo:g}, {hi:g}] "
+            f"({int(np.sum(in_window)) - n_points} below the floor {floor:g}); need >= 5"
         )
     lx = np.log(curve.xs[usable])
     ly = np.log(curve.errs[usable])
@@ -124,7 +122,5 @@ def fit_slope(curve: DecayCurve, window: tuple[float, float], floor: float = 0.0
         slope=float(res.slope),
         intercept=float(res.intercept),
         r2=float(res.rvalue**2),
-        window=(float(lo), float(hi)),
-        n_points=int(np.sum(usable)),
-        n_excluded=n_excluded,
+        n_points=n_points,
     )

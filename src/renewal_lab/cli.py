@@ -39,7 +39,7 @@ from .asymptotics import krt_error_curve
 from .compensator import rootzen_uniform_error, simulate_path
 from .coupling import find_common_component, simulate_coupling
 from .distributions import _config_number, distribution_from_config
-from .errors import ConfigError, HorizonExceededError, RenewalLabError
+from .errors import ConfigError, FiniteSupportError, HorizonExceededError, RenewalLabError
 from .grids import Grid, GridFunction, GridMeasure
 from .renewal import (
     default_grid,
@@ -278,7 +278,7 @@ def solve(runner: Runner, cfg: dict):
             "forcing.exponent", f"(1 + x)^{-r:g} overflows the solve on [0, {grid.horizon:g}]"
         ) from None
     runner.write_rows("Z.csv", "x,value", zip(grid.nodes(), sol.Z.values))
-    runner.write_rows("forcing.csv", "x,value", zip(grid.nodes(), sol.forcing.values))
+    runner.write_rows("forcing.csv", "x,value", zip(grid.nodes(), forcing.values))
     # on the scale of the solution, so an exact solve of a large Z passes
     rel = sol.residual / max(1.0, float(np.max(np.abs(sol.Z.values))))
     measured = {"residual": sol.residual, "relative_residual": rel}
@@ -388,9 +388,9 @@ def couple(runner: Runner, cfg: dict):
         "traces.csv",
         "trace,k,eta,eta_hat,beta,beta_hat,indicator",
         (
-            (i, k, *tr.eta[k], *tr.beta[k], int(tr.indicators[k]))
+            (i, k, *tr.eta[k], *tr.beta[k], int(k == tr.sigma))
             for i, tr in enumerate(traces)
-            for k in range(len(tr.indicators))
+            for k in range(tr.sigma + 1)
         ),
     )
     runner.write_json(
@@ -455,6 +455,9 @@ def krt(runner: Runner, cfg: dict):
     if r_z <= 1.0:
         raise ConfigError("z_exponent", f"expected a number > 1, got {r_z}")
     q = _read(cfg, "q", 2.0)
+    # a moment order is positive; at q <= 0 the slope bound max(1 - r, -q) + 0.3 passes a growing error
+    if q <= 0.0:
+        raise ConfigError("q", f"expected a moment order > 0, got {q}")
     lo_means = _read(cfg, "window_lo_means", 20.0)
     hi_means = _read(cfg, "window_hi_means", 80.0)
     if not 0.0 < lo_means < hi_means:
@@ -492,9 +495,13 @@ def rootzen(runner: Runner, cfg: dict):
         raise ConfigError("T_list", f"expected two or more positive horizons, got {t_list}")
     n_paths = _read(cfg, "n_paths", 2000)
     errs = []
-    for j, T in enumerate(t_list):
-        rng = _task_rng(runner.seed, j)
-        errs.append(rootzen_uniform_error(dist, T, n_paths, statistic, rng))
+    try:
+        for j, T in enumerate(t_list):
+            rng = _task_rng(runner.seed, j)
+            errs.append(rootzen_uniform_error(dist, T, n_paths, statistic, rng))
+    except FiniteSupportError as exc:
+        # raised by the first horizon's call, before any path is drawn
+        raise ConfigError("statistic", f"{statistic!r} on a {dist.kind} law: {exc}") from None
     runner.write_rows("rootzen.csv", "T,sup_error", zip(t_list, errs))
     runner.check(check_rootzen_shrinks(dist, t_list, errs, n_paths))
 

@@ -194,16 +194,19 @@ class CouplingTrace:
 
     Row k of ``eta`` holds (eta_k, eta_hat_k); row k of ``beta`` holds the
     recurrence draws made from that state (for the accepted row both entries
-    equal the shared renewal offset).  ``indicators[k]`` is 1 exactly at
-    k = sigma.
+    equal the shared renewal offset); row ``sigma`` is the last.
     """
 
     eta: np.ndarray
     beta: np.ndarray
-    indicators: np.ndarray
     sigma: int
     coupling_time: float
     accepted_draw: tuple[float, float]
+
+    @property
+    def indicators(self) -> np.ndarray:
+        """The thinning outcome of each row: 1 exactly at k = sigma."""
+        return (np.arange(self.sigma + 1) == self.sigma).astype(int)
 
 
 def _draw_recurrence_direct(dist: Distribution, t: float, rng: np.random.Generator) -> float:
@@ -249,7 +252,7 @@ def simulate_coupling(
     t_stab = min(params.d + 20.0 * dist.mean(), phi.grid.horizon)
 
     eta, eta_hat = 0.0, dist.sample_stationary_delay(rng)
-    etas, betas, indicators = [], [], []
+    etas, betas = [], []
     for _ in range(_MAX_STEPS):
         L = max(eta, eta_hat) + d
         t1, t2 = L - eta, L - eta_hat
@@ -280,18 +283,14 @@ def simulate_coupling(
         if accept:
             shared = b * rng.random()
             betas.append((shared, shared))
-            indicators.append(1)
-            sigma = len(indicators) - 1
             return CouplingTrace(
                 eta=np.asarray(etas),
                 beta=np.asarray(betas),
-                indicators=np.asarray(indicators),
-                sigma=sigma,
+                sigma=len(etas) - 1,
                 coupling_time=L + shared,
                 accepted_draw=(beta, beta_hat),
             )
         betas.append((beta, beta_hat))
-        indicators.append(0)
         eta, eta_hat = L + beta, L + beta_hat
     raise RuntimeError(
         f"no coupling within {_MAX_STEPS} trials (probability ~ (1-delta^2)^{_MAX_STEPS}); "

@@ -36,7 +36,6 @@ __all__ = [
 class MomentReport:
     """Raw moment E[tau^order]; ``value`` is ``math.inf`` for divergent moments."""
 
-    order: float
     value: float
 
 
@@ -200,7 +199,7 @@ class Exponential(Distribution):
 
     def moment(self, order: float) -> MomentReport:
         value = math.exp(gammaln(order + 1.0)) / self.rate_**order
-        return MomentReport(order, value)
+        return MomentReport(value)
 
     def _stationary_cdf_impl(self, x):
         # memorylessness: the stationary delay law coincides with F
@@ -252,7 +251,7 @@ class Gamma(Distribution):
 
     def moment(self, order: float) -> MomentReport:
         value = math.exp(gammaln(self.shape + order) - gammaln(self.shape))
-        return MomentReport(order, value / self.rate_**order)
+        return MomentReport(value / self.rate_**order)
 
     def _stationary_cdf_impl(self, x):
         # integrate by parts: int_0^x (1-F) = x(1-F(x)) + int_0^x u f(u) du
@@ -301,7 +300,7 @@ class Uniform(Distribution):
     def moment(self, order: float) -> MomentReport:
         s = order
         value = (self.hi ** (s + 1.0) - self.lo ** (s + 1.0)) / ((s + 1.0) * (self.hi - self.lo))
-        return MomentReport(order, value)
+        return MomentReport(value)
 
     def _stationary_cdf_impl(self, x):
         m = self.rate()
@@ -351,9 +350,9 @@ class ShiftedPareto(Distribution):
 
     def moment(self, order: float) -> MomentReport:
         if order >= self.tail:
-            return MomentReport(order, math.inf)
+            return MomentReport(math.inf)
         log_val = gammaln(order + 1.0) + gammaln(self.tail - order) - gammaln(self.tail)
-        return MomentReport(order, self.scale**order * math.exp(log_val))
+        return MomentReport(self.scale**order * math.exp(log_val))
 
     def _stationary_cdf_impl(self, x):
         # the equilibrium law of a Lomax(r, c) is Lomax(r-1, c)

@@ -141,10 +141,9 @@ def renewal_measure(dist: Distribution, grid: Grid) -> GridMeasure:
 
 @dataclass(frozen=True)
 class RenewalSolution:
-    """Solution Z of Z = z + F * Z with its forcing and solver residual."""
+    """Solution Z of Z = z + F * Z with its solver residual."""
 
     Z: GridFunction
-    forcing: GridFunction
     residual: float
 
 
@@ -161,7 +160,7 @@ def solve_renewal_equation(dist: Distribution, forcing: GridFunction) -> Renewal
     Z = GridFunction(grid, values)
     conv = convolve_measure_function(GridMeasure(grid, 0.0, kernel.density), Z)
     residual = float(np.max(np.abs(values - forcing.values - conv.values)))
-    return RenewalSolution(Z, forcing, residual)
+    return RenewalSolution(Z, residual)
 
 
 def linear_forcing(dist: Distribution, grid: Grid) -> GridFunction:

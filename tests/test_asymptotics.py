@@ -25,9 +25,15 @@ class TestFitSlope:
         xs = np.geomspace(1.0, 100.0, 10)
         errs = xs**-1.0
         curve = DecayCurve(xs, errs)
-        fit = fit_slope(curve, (1.0, 100.0), floor=errs[-3] + 1e-12)
-        assert fit.n_excluded == 3
+        floor = errs[-3] + 1e-12
+        fit = fit_slope(curve, (1.0, 100.0), floor=floor)
+        # the three points at or below the floor are left out of the fit
+        assert int(np.sum(curve.errs <= floor)) == 3
         assert fit.n_points == 7
+        assert fit.slope == pytest.approx(-1.0, abs=1e-10)
+        # too few points left: the error counts the excluded ones
+        with pytest.raises(InsufficientPointsError, match=r"4 usable points .* \(6 below the floor"):
+            fit_slope(curve, (1.0, 100.0), floor=errs[4] + 1e-12)
 
     def test_all_points_below_floor_is_an_error(self):
         xs = np.geomspace(1.0, 100.0, 10)
@@ -39,8 +45,10 @@ class TestFitSlope:
         xs = np.geomspace(1.0, 100.0, 30)
         curve = DecayCurve(xs, xs**-2.0)
         fit = fit_slope(curve, (5.0, 50.0))
-        assert fit.window == (5.0, 50.0)
-        assert fit.n_points == int(np.sum((xs >= 5.0) & (xs <= 50.0)))
+        inside = (xs >= 5.0) & (xs <= 50.0)
+        assert fit.n_points == int(np.sum(inside))
+        # the points outside the window do not move the fit
+        assert fit_slope(DecayCurve(xs, np.where(inside, xs**-2.0, 1.0)), (5.0, 50.0)) == fit
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):

@@ -120,6 +120,15 @@ _BAD_NUMBERS = {
     "krt-window-reversed": ("krt", {"window_lo_means": 50, "window_hi_means": 20}, "window_lo_means"),
     "krt-window-lo-zero": ("krt", {"window_lo_means": 0}, "window_lo_means"),
     "z-exponent-one": ("krt", {"z_exponent": 1.0}, "z_exponent"),
+    # a q <= 0 is no moment order, and its slope bound would pass a growing error
+    "krt-q-negative": ("krt", {"q": -5}, "q"),
+    "krt-q-zero": ("krt", {"q": 0}, "q"),
+    # the cycle-max law of a bounded interarrival law has no max-tau approximation
+    "max-tau-bounded-law": (
+        "rootzen",
+        {"distribution": {"kind": "uniform", "lo": 0.0, "hi": 2.0}, "statistic": "max-tau"},
+        "statistic",
+    ),
     "dump-paths-string": ("compensator", {"dump_paths": "no"}, "dump_paths"),
     # probe times are checked against the grid horizon (30) before any solve
     "ts-past-horizon": ("bt", {"ts": [50.0]}, "ts"),

@@ -198,9 +198,9 @@ class TestCouplingChain:
     def test_trace_invariants(self, gamma_traces):
         d, phi, params, traces = gamma_traces
         for tr in traces[:200]:
-            k = len(tr.indicators)
-            assert tr.sigma == k - 1
-            assert np.all(tr.indicators[:-1] == 0) and tr.indicators[-1] == 1
+            # one eta row and one beta row per trial, the accepted one last
+            assert len(tr.eta) == len(tr.beta) == tr.sigma + 1
+            assert np.array_equal(tr.indicators, np.eye(tr.sigma + 1, dtype=int)[tr.sigma])
             ls = np.max(tr.eta, axis=1) + params.d
             assert np.all(np.diff(ls) > 0.0)
             shared = tr.beta[tr.sigma, 0]

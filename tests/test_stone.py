@@ -8,6 +8,7 @@ from renewal_lab import (
     Gamma,
     Grid,
     Uniform,
+    default_grid,
     find_uniform_component,
     phi2_tail,
     stone_decompose,
@@ -97,6 +98,23 @@ class TestDecomposition:
             assert h_mass == pytest.approx(1.0 - dec.component.mass, abs=1e-8)
             tol = 1e-5 if dist.kind == "exponential" else 1e-7
             assert dec.phi0_2.total_mass() == pytest.approx(1.0 / dec.component.mass, rel=tol)
+
+    def test_component_in_the_second_power(self):
+        # uniform(1, 1.2) is narrower than the smallest window (0.275), so the
+        # component sits in F*F and Phi2 adds the n0 - 1 = 1 term Phi0^(2) * F
+        d = Uniform(1.0, 1.2)
+        dec = stone_decompose(d, default_grid(d))
+        c = dec.component
+        assert c.n0 == 2
+        recon = dec.phi1.values + dec.phi2.density - dec.phi.density
+        assert np.max(np.abs(recon)) / np.max(np.abs(dec.phi.density)) <= 1e-12
+        assert dec.phi1_crosscheck_dev <= 1e-12
+        # the mass identity misses only the mass of Phi2 beyond the horizon
+        # (4e-5 at 100 means), so doubling the horizon shrinks the gap >= 1000x
+        far = stone_decompose(d, default_grid(d, 200.0))
+        assert far.component == c
+        gaps = [abs(x.phi2.total_mass() - c.n0 / c.mass) for x in (dec, far)]
+        assert gaps[1] <= 1e-3 * gaps[0]
 
     def test_density_converges_to_rate(self, dist):
         grid = grid_for(dist, horizon_means=100.0)
