@@ -111,19 +111,20 @@ def simulate_path(dist: Distribution, horizon: float, delay, rng: np.random.Gene
 
     mean = dist.mean()
     chunks = []
-    total = tau0
-    remaining = horizon - total
+    # the last partial sum so far; each block continues the sequential sum
+    # in place from it, so the stop test reads the events themselves
+    last = 0.0
     while True:
-        expect = max(remaining, 0.0) / mean
+        expect = max(horizon - (last + tau0), 0.0) / mean
         block = int(1.2 * expect + 10.0 * math.sqrt(expect + 1.0) + 16.0)
         draws = draw_interarrivals(dist, block, rng)
+        draws[0] += last
+        np.cumsum(draws, out=draws)
         chunks.append(draws)
-        total += float(draws.sum())
-        if total > horizon:
+        last = float(draws[-1])
+        if last + tau0 > horizon:
             break
-        remaining = horizon - total
     events = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    np.cumsum(events, out=events)
     if tau0 > 0.0:
         events += tau0
         events = np.concatenate(([tau0], events))

@@ -9,11 +9,12 @@ is solved by relaxed (online) convolution in O(n log^2 n): dense 256-node
 blocks, each one LAPACK ``dtrtrs`` call, with the effect of each solved
 stretch on the next pushed forward by one ``grids._middle_product`` (Hairer,
 Lubich & Schlichte 1985; van der Hoeven 2002), the product every
-multi-output trapezoidal sum goes through.  The forward recurrence law
-at time t is evaluated from the identity
-P(B_t <= x) = int_0^t F((t-u, t+x-u]) Phi(du), and its density the same way
-with f: on the X + 1 x-nodes each is one middle product of the
-trapezoid weights of Phi on [0, t] with F or f on the lattice.  The total
+multi-output trapezoidal sum goes through.  The kernel is the fixed
+operand of those products, so a solve transforms it once per stretch
+length.  The forward recurrence law at time t is evaluated from the
+identity P(B_t <= x) = int_0^t F((t-u, t+x-u]) Phi(du), and its density
+the same way with f: on the X + 1 x-nodes each is one middle product of
+the trapezoid weights of Phi on [0, t] with F or f on the lattice.  The total
 variation distance to the stationary delay law compares that CDF with the
 closed-form stationary CDF cell by cell, so no density is formed for it.
 """
@@ -34,6 +35,7 @@ from .grids import (
     GridFunction,
     GridMeasure,
     _middle_product,
+    _steps_match,
     convolve_measure_function,
     measure_from_distribution,
 )
@@ -99,7 +101,10 @@ def volterra_renewal_density(kernel: np.ndarray, rhs: np.ndarray, grid: Grid) ->
     ``grids._middle_product`` of its s values with h k[1 : s + out]: every
     node pair then meets exactly once, in O(n log^2 n).  Only the out
     outputs kept are computed, so the last product of a solve is as short
-    as what is left of the grid.
+    as what is left of the grid.  The kernel slice depends only on the
+    product length s + out - 1, so the solve keeps one spectrum table for
+    all its products: full stretches of one size share a kernel spectrum,
+    the shorter last product has its own, and nothing outlives the call.
     """
     h = grid.step
     n = grid.count
@@ -118,6 +123,8 @@ def volterra_renewal_density(kernel: np.ndarray, rhs: np.ndarray, grid: Grid) ->
     # the lower-triangular Toeplitz block in C order; its transpose is the
     # Fortran-ordered upper-triangular array LAPACK reads without a copy
     upper = toeplitz(np.concatenate(([diag], -hk[1:m])), np.zeros(m)).T
+    # kernel spectra of this solve's stretch products, by product length
+    spectra = {}
     for start in range(0, n, m):
         stop = min(start + m, n)
         width = stop - start
@@ -127,7 +134,7 @@ def volterra_renewal_density(kernel: np.ndarray, rhs: np.ndarray, grid: Grid) ->
         blocks = stop // m
         s = m * (blocks & -blocks)
         out = min(s, n - stop)
-        acc[stop : stop + out] += _middle_product(y[stop - s : stop], hk[1 : s + out], out - 1)
+        acc[stop : stop + out] += _middle_product(y[stop - s : stop], hk[1 : s + out], out - 1, spectra)
     return x
 
 
@@ -171,7 +178,7 @@ def linear_forcing(dist: Distribution, grid: Grid) -> GridFunction:
 
 
 def _check_steps_match(x_grid: Grid, phi: GridMeasure) -> None:
-    if not np.isclose(x_grid.step, phi.grid.step, rtol=1e-9, atol=0.0):
+    if not _steps_match(x_grid.step, phi.grid.step, 1e-9):
         raise IncompatibleGridsError(
             f"x-grid step {x_grid.step!r} must match the time grid step {phi.grid.step!r}"
         )

@@ -1,7 +1,8 @@
 """The package surface: each library module's ``__all__`` is pinned here, the
 top level re-exports exactly their union, and every pinned function, every
 public method of a pinned class and every field of a pinned dataclass is named
-by code outside the tests.
+by code outside the tests.  A source scan also pins the one home of the FFT
+and of np.convolve, ``grids._middle_product``.
 
 A reader is ``cli.py``, ``acceptance.py``, the benchmark harness
 (``perfbench/*.py``), ``README.md``, or another library module; a method or
@@ -10,6 +11,7 @@ from wherever ``renewal_lab`` is imported from, so the test also checks an
 installed copy.
 """
 
+import ast
 import dataclasses
 import functools
 import inspect
@@ -193,3 +195,22 @@ def test_every_dataclass_field_has_a_reader(field):
 def test_kept_fields_have_no_other_reader(field):
     # a kept field that gains a reader leaves the list
     assert field in FIELDS and not _field_read(field)
+
+
+# the FFT and the direct sum of a trapezoidal product (ROADMAP aim 2)
+PRODUCT_CALLS = re.compile(r"\b(?:i?rfft|np\.fft|np\.convolve)\b")
+
+
+def test_one_trapezoidal_product():
+    # every FFT and np.convolve of the package is in grids._middle_product
+    sources = {p.name: p.read_text().splitlines() for p in sorted(PACKAGE.glob("*.py"))}
+    grids = sources["grids.py"]
+    home = next(
+        node
+        for node in ast.parse("\n".join(grids)).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_middle_product"
+    )
+    assert PRODUCT_CALLS.search("\n".join(grids[home.lineno - 1 : home.end_lineno]))
+    del grids[home.lineno - 1 : home.end_lineno]
+    found = [f"{name}: {line.strip()}" for name, lines in sources.items() for line in lines if PRODUCT_CALLS.search(line)]
+    assert not found

@@ -48,6 +48,23 @@ class TestPaths:
         assert np.all(np.diff(path.events) > 0.0)
         assert path.events[-1] > path.horizon
 
+    def test_stop_reads_the_sequential_sum(self, monkeypatch):
+        # 61 draws whose pairwise sum ends above the horizon and whose
+        # sequential sum, the events, ends below it: the path must go on
+        block = np.random.default_rng(7).exponential(1.0 / 6.0, 61)
+        ends = np.cumsum(block)
+        horizon = float(np.nextafter(ends[-1], math.inf))
+        assert float(block.sum()) > horizon > ends[-1]
+        blocks = [block.copy()]
+
+        def draws(d, size, r):
+            return blocks.pop() if blocks else np.full(size, 0.25)
+
+        monkeypatch.setattr(compensator, "draw_interarrivals", draws)
+        path = simulate_path(Exponential(6.0), horizon, "zero", np.random.default_rng(0))
+        np.testing.assert_array_equal(path.events[:61], ends)
+        assert path.events[61:].tolist() == [ends[-1] + 0.25]
+
     def test_pure_counting_includes_origin(self, rng):
         path = simulate_path(Exponential(1.0), 10.0, "zero", rng)
         assert path.count(0.0) == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from renewal_lab import (
     Exponential,
@@ -122,6 +123,18 @@ class TestConvolution:
         with pytest.raises(IncompatibleGridsError):
             convolve_measure_function(a, GridFunction(Grid(0.01, 101), np.zeros(102)))
 
+    @pytest.mark.parametrize("rel", [0.9e-12, -0.9e-12, 1.1e-12, -1.1e-12])
+    def test_steps_match_to_a_relative_1e12(self, rel):
+        # np.isclose's rule at atol = 0: |step - step'| <= 1e-12 |step'|,
+        # step' the second argument's
+        a = bump_measure(Grid(0.01 * (1.0 + rel), 100), 0.5, 0.3)
+        b = bump_measure(Grid(0.01, 100), 0.5, 0.3)
+        if abs(rel) < 1e-12:
+            assert convolve_measures(a, b).grid.step == a.grid.step
+        else:
+            with pytest.raises(IncompatibleGridsError, match="grids differ: step"):
+                convolve_measures(a, b)
+
     def test_mass_multiplicativity_when_supports_fit(self):
         grid = Grid(0.01, 1000)
         mu = bump_measure(grid, 1.0, 0.7, mass=0.8)
@@ -195,6 +208,25 @@ class TestConvolution:
         w = rng.random(601)
         vals = rng.random(801)
         np.testing.assert_array_equal(_middle_product(w, vals, 200), np.convolve(w, vals)[600:801])
+
+    def test_spectrum_table_keeps_the_operand_order(self, rng):
+        # at s = 16384 a spectrum holds 16385 complex values (262 KB), where
+        # numpy reuses a temporary operand for the result, so spec * rfft(w)
+        # would be evaluated as W V; with fused multiply-adds that differs
+        # from V W in the last bit.  With a table or without, and on the
+        # table's first use or a later one, the product is V W
+        s = 16384
+        size = scipy.fft.next_fast_len(2 * s - 1, real=True)
+        vals = rng.random(2 * s - 1)
+        spectrum = scipy.fft.rfft(vals, size)
+        table = {}
+        for _ in range(2):
+            w = rng.random(s)
+            w_spectrum = scipy.fft.rfft(w, size)
+            expected = scipy.fft.irfft(spectrum * w_spectrum, size)[s - 1 : 2 * s - 1]
+            np.testing.assert_array_equal(_middle_product(w, vals, s - 1), expected)
+            np.testing.assert_array_equal(_middle_product(w, vals, s - 1, table), expected)
+        assert list(table) == [len(vals)]
 
     def test_self_convolution_clips_rounding_only(self, dist):
         # convolve_measures clips the negatives of FFT round-off where the

@@ -33,7 +33,13 @@ from renewal_lab import (
     tv_to_stationary,
 )
 from renewal_lab.compensator import sample_forward_recurrence
-from renewal_lab.errors import HorizonExceededError, RenewalLabError, SingularBlockError, StepTooCoarseError
+from renewal_lab.errors import (
+    HorizonExceededError,
+    IncompatibleGridsError,
+    RenewalLabError,
+    SingularBlockError,
+    StepTooCoarseError,
+)
 from renewal_lab.grids import _direct_is_cheaper
 from renewal_lab.renewal import (
     _solve_block,
@@ -458,6 +464,18 @@ class TestForwardRecurrence:
         assert np.all(np.diff(cdf.values) >= 0.0)
         assert cdf.values[-1] <= 1.0
         assert cdf.values[-1] > 0.999
+
+    @pytest.mark.parametrize("rel", [0.9e-9, -0.9e-9, 1.1e-9, -1.1e-9])
+    def test_x_step_matches_to_a_relative_1e9(self, rel):
+        # |x-step - h| <= 1e-9 h, h the time grid's step
+        d = Exponential(1.0)
+        phi = renewal_measure(d, small_grid(d))
+        x_grid = Grid(phi.grid.step * (1.0 + rel), 50)
+        if abs(rel) < 1e-9:
+            assert forward_recurrence_cdf(d, 3.0, x_grid, phi=phi).grid == x_grid
+        else:
+            with pytest.raises(IncompatibleGridsError, match="must match the time grid step"):
+                forward_recurrence_cdf(d, 3.0, x_grid, phi=phi)
 
     def test_exponential_memorylessness(self):
         d = Exponential(1.0)
