@@ -53,13 +53,25 @@ from .renewal import (
     solve_renewal_equation,
     tv_to_stationary,
 )
+from .stone import stone_decompose
 
 DEFAULT_SEED = 20260809
 
 
-def _rng(seed: int, criterion: int, index: int = 0) -> np.random.Generator:
-    """Non-overlapping per-criterion streams from one base seed."""
-    return np.random.default_rng([seed, criterion, index])
+def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
+    """Stream ``index`` of ``domain`` at ``seed``, the one generator factory
+    of the package: criterion c draws from domain c and the CLI's tasks from
+    domain 0, which no criterion uses.
+
+    The key is always three words in [0, 2**32), and any other word raises
+    ``ValueError``: SeedSequence pads a shorter key with zeros and splits a
+    larger integer into 32-bit words, so ``[s, i]`` would draw the stream of
+    ``[s, i, 0]`` and seed ``s + 2**32`` a stream of seed ``s``.
+    """
+    if not all(0 <= word < 2**32 for word in (seed, domain, index)):
+        raise ValueError(f"stream key words must lie in [0, 2**32), got {[seed, domain, index]}")
+    return np.random.default_rng([seed, domain, index])
+
 
 FOUR_KINDS = (
     Exponential(1.0),
@@ -328,7 +340,7 @@ def criterion_2_linear_solution(seed: int) -> list[CheckResult]:
 def criterion_3_recurrence_law(seed: int) -> list[CheckResult]:
     """Grid recurrence CDF against 1e5 simulated draws at three probe times."""
     out = []
-    rng = _rng(seed, 3)
+    rng = _stream(seed, 3, 0)
     n = 100_000
     for dist in FOUR_KINDS:
         grid = default_grid(dist)
@@ -353,8 +365,6 @@ def criterion_3_recurrence_law(seed: int) -> list[CheckResult]:
 
 def criterion_4_stone(seed: int) -> list[CheckResult]:
     """Stone decomposition identities on the gamma kind."""
-    from .stone import stone_decompose
-
     dist = Gamma(2.0, 1.0)
     return [check_stone_split(dist, stone_decompose(dist, default_grid(dist)))]
 
@@ -366,7 +376,7 @@ def criterion_5_maximal_coupling(seed: int) -> list[CheckResult]:
     q = measure_from_distribution(Exponential(2.0), grid)
     tv = tv_distance(p, q)
     n = 100_000
-    rng = _rng(seed, 5)
+    rng = _stream(seed, 5, 0)
     _, _, coupled = maximal_coupling_sample(p, q, rng, size=n)
     phat = float(np.mean(coupled == 0))
     target = tv / 2.0
@@ -398,11 +408,11 @@ def criterion_6_coupling_construction(seed: int) -> list[CheckResult]:
     phi = renewal_measure(dist, default_grid(dist, horizon_means=50.0))
     params = find_common_component(dist, phi=phi)
     n = 10_000
-    traces = [simulate_coupling(dist, params, _rng(seed, 6, i), phi=phi) for i in range(n)]
+    traces = [simulate_coupling(dist, params, _stream(seed, 6, i), phi=phi) for i in range(n)]
     sig = np.array([tr.sigma for tr in traces])
     pval = _sigma_chisquare(sig, params.delta**2)
 
-    rng_post = _rng(seed, 6, 10**6)
+    rng_post = _stream(seed, 6, 10**6)
     identical = True
     for tr in traces[:200]:
         e1, e2 = coupled_event_sequences(tr, dist, tr.coupling_time + 30.0, rng_post)
@@ -434,7 +444,7 @@ def criterion_7_coupling_moment_stability(seed: int) -> list[CheckResult]:
     dist = ShiftedPareto(3.5, 1.0)
     phi = renewal_measure(dist, default_grid(dist, horizon_means=50.0))
     params = find_common_component(dist, phi=phi)
-    traces = [simulate_coupling(dist, params, _rng(seed, 7, i), phi=phi) for i in range(40_000)]
+    traces = [simulate_coupling(dist, params, _stream(seed, 7, i), phi=phi) for i in range(40_000)]
     small = coupling_moment(traces[:10_000], 2.0).value
     big = coupling_moment(traces, 2.0).value
     rel = abs(small - big) / big
@@ -522,7 +532,7 @@ def criterion_10_compensator(seed: int) -> list[CheckResult]:
     out = []
     n_paths = 10_000
     for j, dist in enumerate(FOUR_KINDS):
-        rng = _rng(seed, 10, j + 10)
+        rng = _stream(seed, 10, j + 10)
         horizon = 50.0 * dist.mean()
         paths = (simulate_path(dist, horizon, "zero", rng) for _ in range(n_paths))
         out += check_compensator(dist, paths, (5.0, 20.0, 50.0))
@@ -545,7 +555,7 @@ def criterion_11_scaled_sup_sweeps(seed: int) -> list[CheckResult]:
         probs = []
         dominated = True
         for j, T in enumerate((1.0e2, 1.0e3, 1.0e4)):
-            rng = _rng(seed, 11, 100 * j + (0 if which == "compensator" else 7))
+            rng = _stream(seed, 11, 100 * j + (0 if which == "compensator" else 7))
             hits = 0
             for _ in range(1000):
                 path = simulate_path(dist, T, "zero", rng)
@@ -575,8 +585,8 @@ def criterion_12_rootzen(seed: int) -> list[CheckResult]:
     """Uniform error of the cycle-maximum approximation shrinks with the horizon."""
     dist = Gamma(2.0, 1.0)
     t0 = time.perf_counter()
-    e_small = rootzen_uniform_error(dist, 20.0, 5000, "max-xi", _rng(seed, 12, 0))
-    e_large = rootzen_uniform_error(dist, 200.0, 5000, "max-xi", _rng(seed, 12, 1))
+    e_small = rootzen_uniform_error(dist, 20.0, 5000, "max-xi", _stream(seed, 12, 0))
+    e_large = rootzen_uniform_error(dist, 200.0, 5000, "max-xi", _stream(seed, 12, 1))
     return [check_rootzen_shrinks(dist, [20.0, 200.0], [e_small, e_large], 5000, seconds=time.perf_counter() - t0)]
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .acceptance import (
     CRITERIA,
     CheckResult,
+    _stream,
     check_compensator,
     check_coupling_inequality,
     check_exponential_closed_form,
@@ -49,6 +50,7 @@ from .renewal import (
     solve_renewal_equation,
     tv_to_stationary,
 )
+from .stone import phi2_tail, stone_decompose
 
 SEED_ENV_VAR = "RENEWAL_LAB_SEED"
 
@@ -82,9 +84,9 @@ def _resolve_seed(cfg: dict) -> int:
         # bool is a subclass of int, but true/false is not a seed
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError(field, f"expected an integer, got {seed!r}")
-    # the keyed task streams (SeedSequence entropy) take only non-negative integers
-    if seed < 0:
-        raise ConfigError(field, f"expected a non-negative integer, got {seed}")
+    # the seed is one 32-bit word of every stream key (acceptance._stream)
+    if not 0 <= seed < 2**32:
+        raise ConfigError(field, f"expected an integer in [0, 2**32), got {seed}")
     return seed
 
 
@@ -129,11 +131,6 @@ def _read_times(cfg: dict, field: str, default: list, grid: Grid) -> list:
         except HorizonExceededError as exc:
             raise ConfigError(field, str(exc)) from None
     return ts
-
-
-def _task_rng(seed: int, index: int) -> np.random.Generator:
-    # keyed per-task streams, independent across both seeds and task indices
-    return np.random.default_rng([seed, index])
 
 
 class Runner:
@@ -315,8 +312,6 @@ def phi(runner: Runner, cfg: dict):
 @_subcommand()
 def stone(runner: Runner, cfg: dict):
     """Decompose the renewal measure into bounded plus absolutely continuous parts."""
-    from .stone import phi2_tail, stone_decompose
-
     dist = distribution_from_config(cfg.get("distribution", {}))
     grid = _resolve_grid(cfg, dist)
     dec = stone_decompose(dist, grid)
@@ -382,7 +377,7 @@ def couple(runner: Runner, cfg: dict):
     measure = renewal_measure(dist, grid)
     params = find_common_component(dist, phi=measure)
     traces = [
-        simulate_coupling(dist, params, _task_rng(runner.seed, i), phi=measure) for i in range(n_traces)
+        simulate_coupling(dist, params, _stream(runner.seed, 0, i), phi=measure) for i in range(n_traces)
     ]
     runner.write_rows(
         "traces.csv",
@@ -430,7 +425,7 @@ def compensator(runner: Runner, cfg: dict):
     if not isinstance(dump_paths, bool):
         raise ConfigError("dump_paths", f"expected true or false, got {dump_paths!r}")
     horizon = max(mults) * dist.mean()
-    paths = [simulate_path(dist, horizon, "zero", _task_rng(runner.seed, i)) for i in range(n_paths)]
+    paths = [simulate_path(dist, horizon, "zero", _stream(runner.seed, 0, i)) for i in range(n_paths)]
     if dump_paths:
         rows = ((i, t) for i, path in enumerate(paths[:50]) for t in path.events)
         runner.write_rows("paths.csv", "path,event_time", rows)
@@ -497,8 +492,7 @@ def rootzen(runner: Runner, cfg: dict):
     errs = []
     try:
         for j, T in enumerate(t_list):
-            rng = _task_rng(runner.seed, j)
-            errs.append(rootzen_uniform_error(dist, T, n_paths, statistic, rng))
+            errs.append(rootzen_uniform_error(dist, T, n_paths, statistic, _stream(runner.seed, 0, j)))
     except FiniteSupportError as exc:
         # raised by the first horizon's call, before any path is drawn
         raise ConfigError("statistic", f"{statistic!r} on a {dist.kind} law: {exc}") from None

@@ -147,11 +147,13 @@ def find_common_component(dist: Distribution, *, phi: GridMeasure) -> CouplingPa
         )
 
     params: CouplingParams | None = None
+    pi_mins = []
     for b in b_candidates:
         ib = max(1, x_grid.index_of(b))
         window = slice(1, ib + 1)  # open at 0; closing at b is conservative
         per_t_min = np.min(dens[:, window], axis=1)
-        pi_floor = float(np.min(pi[window])) - float(tail_devs[-1])
+        pi_mins.append(float(np.min(pi[window])))
+        pi_floor = pi_mins[-1] - float(tail_devs[-1])
         suffix_min = np.minimum.accumulate(per_t_min[::-1])[::-1]
         deltas = 0.95 * b * np.minimum(suffix_min, pi_floor)
         j_best = int(np.argmax(deltas))
@@ -161,6 +163,13 @@ def find_common_component(dist: Distribution, *, phi: GridMeasure) -> CouplingPa
         if params is None or cand.delta > params.delta:
             params = cand
     if params.delta < 0.01:
+        # delta <= 0 means pi_floor <= 0 on every window: a density <= 0 at
+        # the last probe time is itself a final deviation >= pi's minimum
+        if params.delta <= 0.0:
+            raise NoCommonComponentError(
+                f"the final lattice deviation from the stationary density, {tail_devs[-1]:g}, exceeds "
+                f"that density's minimum on every window (at most {max(pi_mins):g})"
+            )
         raise NoCommonComponentError(f"best component mass {params.delta:g} < 0.01")
     return params
 

@@ -17,6 +17,7 @@ horizon that is too short instead of silently losing tail mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,8 @@ class Grid:
     count: int
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError(f"grid step must be > 0, got {self.step}")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"grid step must be finite and > 0, got {self.step}")
         if not self.count >= 1:
             raise ValueError(f"grid count must be >= 1, got {self.count}")
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from renewal_lab.acceptance import CRITERIA, DEFAULT_SEED
+from renewal_lab.acceptance import CRITERIA, DEFAULT_SEED, _stream
 
 
 def run(criterion):
@@ -103,3 +103,11 @@ def test_criterion_11_scaled_sup_sweeps():
 
 def test_criterion_12_cycle_maximum_uniform_error():
     assert_all(run(12))
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0), (2**32, 0, 0), (0, 2**32, 0), (0, 0, 2**32)])
+def test_stream_key_words_are_32_bit(key):
+    # SeedSequence splits a larger integer into 32-bit words, so seed s + 2**32
+    # would draw a stream of seed s
+    with pytest.raises(ValueError, match=r"stream key words must lie in \[0, 2\*\*32\)"):
+        _stream(*key)

@@ -1,8 +1,9 @@
 """The package surface: each library module's ``__all__`` is pinned here, the
 top level re-exports exactly their union, and every pinned function, every
 public method of a pinned class and every field of a pinned dataclass is named
-by code outside the tests.  A source scan also pins the one home of the FFT
-and of np.convolve, ``grids._middle_product``.
+by code outside the tests.  Source scans also pin the one home of the FFT
+and of np.convolve, ``grids._middle_product``, and of the generators,
+``acceptance._stream``.
 
 A reader is ``cli.py``, ``acceptance.py``, the benchmark harness
 (``perfbench/*.py``), ``README.md``, or another library module; a method or
@@ -197,20 +198,33 @@ def test_kept_fields_have_no_other_reader(field):
     assert field in FIELDS and not _field_read(field)
 
 
+def _calls_outside(pattern: re.Pattern, module: str, function: str) -> list[str]:
+    """Package lines matching ``pattern`` outside ``function`` of ``module``,
+    which must itself match: the source scan that pins one home of a call."""
+    sources = {p.name: p.read_text().splitlines() for p in sorted(PACKAGE.glob("*.py"))}
+    lines = sources[module]
+    home = next(
+        node
+        for node in ast.parse("\n".join(lines)).body
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+    assert pattern.search("\n".join(lines[home.lineno - 1 : home.end_lineno]))
+    del lines[home.lineno - 1 : home.end_lineno]
+    return [f"{name}: {line.strip()}" for name, text in sources.items() for line in text if pattern.search(line)]
+
+
 # the FFT and the direct sum of a trapezoidal product (ROADMAP aim 2)
 PRODUCT_CALLS = re.compile(r"\b(?:i?rfft|np\.fft|np\.convolve)\b")
+
+# a generator's construction from a seed (ROADMAP aim 3)
+STREAM_CALLS = re.compile(r"\b(?:default_rng|SeedSequence)\b")
 
 
 def test_one_trapezoidal_product():
     # every FFT and np.convolve of the package is in grids._middle_product
-    sources = {p.name: p.read_text().splitlines() for p in sorted(PACKAGE.glob("*.py"))}
-    grids = sources["grids.py"]
-    home = next(
-        node
-        for node in ast.parse("\n".join(grids)).body
-        if isinstance(node, ast.FunctionDef) and node.name == "_middle_product"
-    )
-    assert PRODUCT_CALLS.search("\n".join(grids[home.lineno - 1 : home.end_lineno]))
-    del grids[home.lineno - 1 : home.end_lineno]
-    found = [f"{name}: {line.strip()}" for name, lines in sources.items() for line in lines if PRODUCT_CALLS.search(line)]
-    assert not found
+    assert not _calls_outside(PRODUCT_CALLS, "grids.py", "_middle_product")
+
+
+def test_one_stream_key():
+    # every generator of the package is keyed [seed, domain, index] by acceptance._stream
+    assert not _calls_outside(STREAM_CALLS, "acceptance.py", "_stream")

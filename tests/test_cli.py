@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from renewal_lab import Grid, GridFunction, GridMeasure
-from renewal_lab.acceptance import CRITERIA, DEFAULT_SEED
+from renewal_lab import (
+    Gamma,
+    Grid,
+    GridFunction,
+    GridMeasure,
+    find_common_component,
+    renewal_measure,
+    simulate_coupling,
+)
+from renewal_lab.acceptance import CRITERIA, DEFAULT_SEED, _stream
 from renewal_lab.cli import Runner, _measure_header, main
 
 
@@ -80,8 +88,14 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "seed, env, field",
-        [(-7, None, "seed"), (True, None, "seed"), (None, "-3", "RENEWAL_LAB_SEED")],
-        ids=["negative", "boolean", "negative-env"],
+        [
+            (-7, None, "seed"),
+            (True, None, "seed"),
+            (2**32, None, "seed"),
+            (None, "-3", "RENEWAL_LAB_SEED"),
+            (None, str(2**32), "RENEWAL_LAB_SEED"),
+        ],
+        ids=["negative", "boolean", "past-32-bits", "negative-env", "past-32-bits-env"],
     )
     def test_bad_seed_is_config_error(self, runner, tmp_path, monkeypatch, seed, env, field):
         payload = {
@@ -253,12 +267,33 @@ class TestDeterminism:
 
     def test_task_streams_do_not_collide_across_seeds(self):
         # seed ^ index would give seed 6, task 1 the stream of seed 7, task 0
-        from renewal_lab.cli import _task_rng
-
-        a = _task_rng(6, 1).random(8)
-        b = _task_rng(7, 0).random(8)
+        a = _stream(6, 0, 1).random(8)
+        b = _stream(7, 0, 0).random(8)
         assert not np.array_equal(a, b)
-        assert np.array_equal(a, _task_rng(6, 1).random(8))
+        assert np.array_equal(a, _stream(6, 0, 1).random(8))
+
+    def test_task_streams_are_not_criterion_streams(self, runner, tmp_path):
+        # SeedSequence pads a key [s, i] to [s, i, 0]: CLI task i keyed that
+        # way draws criterion i's index-0 stream, so couple's trace 6 would be
+        # criterion 6's trace 0
+        dist = Gamma(2.0, 1.0)
+        payload = {
+            "distribution": dist.to_config(),
+            "grid": {"h": 0.01, "horizon": 100.0},
+            "seed": DEFAULT_SEED,
+            "n_traces": 7,
+            "t_checks": [],
+        }
+        cfg = write_config(tmp_path, "c.json", payload)
+        res = runner.invoke(main, ["couple", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        phi = renewal_measure(dist, Grid.from_horizon(100.0, 0.01))
+        params = find_common_component(dist, phi=phi)
+        criterion_6 = simulate_coupling(dist, params, _stream(DEFAULT_SEED, 6, 0), phi=phi)
+        assert summary["traces"][6]["coupling_time"] != criterion_6.coupling_time
+        for i in range(1, 13):
+            assert not np.array_equal(_stream(DEFAULT_SEED, 0, i).random(8), _stream(DEFAULT_SEED, i, 0).random(8))
 
     def test_config_echo_round_trips(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**BASE, "forcing": {"type": "linear"}})

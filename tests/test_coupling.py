@@ -114,6 +114,17 @@ class TestCommonComponent:
         assert 0.01 <= params.delta < 1.0
         assert params.b <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("hi", [1.1, 1.05])
+    def test_no_positive_component_names_the_cause(self, hi):
+        # the lattice density of a near-deterministic law is still spiky
+        # after burn-in: its deviation from pi exceeds pi's minimum on every
+        # window, so every candidate mass is negative
+        d = Uniform(1.0, hi)
+        phi = renewal_measure(d, grid_for(d))
+        with pytest.raises(NoCommonComponentError, match="final lattice deviation from the stationary density") as exc:
+            find_common_component(d, phi=phi)
+        assert "mass" not in str(exc.value) and "-" not in str(exc.value)
+
     def test_params_verify_on_finer_lattice(self, dist):
         phi = renewal_measure(dist, grid_for(dist))
         params = find_common_component(dist, phi=phi)

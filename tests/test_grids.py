@@ -49,6 +49,10 @@ class TestGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             Grid(0.0, 10)
+        # an infinite step would give the nodes [nan, inf, inf, inf]
+        for step in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"grid step must be finite and > 0, got {step}"):
+                Grid(step, 3)
         with pytest.raises(ValueError):
             Grid(0.1, 0)
 
