@@ -23,16 +23,7 @@ import numpy as np
 from scipy import stats
 
 from .asymptotics import DecayCurve, SlopeFit, fit_slope, krt_error_curve, tv_decay_curve
-from .compensator import (
-    compensator_at,
-    cycle_hazards,
-    path_max_statistic,
-    rootzen_uniform_error,
-    sample_forward_recurrence,
-    scaled_compensator_sup,
-    scaled_recurrence_sup,
-    simulate_path,
-)
+from .compensator import cycle_max_uniform_error, sample_forward_recurrence, simulate_paths
 from .coupling import (
     coupling_moment,
     coupling_tail,
@@ -221,38 +212,36 @@ def check_coupling_inequality(dist: Distribution, traces, phi: GridMeasure, ts) 
     )
 
 
-def martingale_residuals(path, dist: Distribution, mults) -> list[float]:
-    """N(t) - 1 - Lambda(t) of one zero-delayed path at t = m * mean."""
-    ts = np.asarray(mults, dtype=float) * dist.mean()
-    lam = compensator_at(path, dist, ts)
-    return [path.count(t) - 1 - float(v) for t, v in zip(ts.tolist(), lam)]
-
-
-def check_compensator(dist: Distribution, paths, mults) -> list[CheckResult]:
+def check_compensator(dist: Distribution, blocks, mults) -> list[CheckResult]:
     """Cycle hazards pooled over the first paths, until 12000 cycles, are
     standard exponential; N - 1 - Lambda is centered at t = m * mean within
-    3 sd / sqrt(n) for every m in ``mults``.  ``paths`` may be a generator."""
-    columns = [[] for _ in mults]
-    xi_parts = []
-    xi_count = 0
-    for path in paths:
-        for column, r in zip(columns, martingale_residuals(path, dist, mults)):
-            column.append(r)
-        if xi_count < 12_000:
-            xi = cycle_hazards(path, dist).xi
-            xi_parts.append(xi)
-            xi_count += len(xi)
+    3 sd / sqrt(n) for every m in ``mults``.  ``blocks`` holds the paths as
+    ``PathBlock``s to the last of those times and may be a generator; the
+    centering check reports their stragglers."""
+    ts = np.asarray(mults, dtype=float) * dist.mean()
+    parts, xi_parts = [], []
+    xi_count = stragglers = 0
+    for block in blocks:
+        parts.append(block.residuals(dist, ts))
+        stragglers += block.stragglers
+        # a path joins the pool while the pool holds fewer than 12000 cycles
+        sizes = block.counts + 1
+        rows = int(np.count_nonzero(xi_count + np.cumsum(sizes) - sizes < 12_000))
+        if rows:
+            xi_parts.append(block.cycle_hazards(dist, rows))
+            xi_count += int(sizes[:rows].sum())
     pool = np.concatenate(xi_parts)
     ks = stats.kstest(pool, "expon")
-    n_paths = len(columns[0])
+    columns = np.concatenate(parts).T.copy()  # one contiguous row per t
+    n_paths = columns.shape[1]
     ok = True
     meas = {}
-    for m, column in zip(mults, columns):
-        v = np.asarray(column)
+    for m, v in zip(mults, columns):
         bound = 3.0 * float(v.std()) / math.sqrt(n_paths)
         meas[f"mean@{m:g}m"] = float(v.mean())
         meas[f"bound@{m:g}m"] = bound
         ok = ok and abs(float(v.mean())) <= bound
+    meas["stragglers"] = stragglers
     return [
         CheckResult(
             10,
@@ -530,12 +519,9 @@ def criterion_9_tv_rates(seed: int) -> list[CheckResult]:
 def criterion_10_compensator(seed: int) -> list[CheckResult]:
     """Standard-exponential cycle hazards and martingale centering, all kinds."""
     out = []
-    n_paths = 10_000
     for j, dist in enumerate(FOUR_KINDS):
-        rng = _stream(seed, 10, j + 10)
-        horizon = 50.0 * dist.mean()
-        paths = (simulate_path(dist, horizon, "zero", rng) for _ in range(n_paths))
-        out += check_compensator(dist, paths, (5.0, 20.0, 50.0))
+        blocks = simulate_paths(dist, 50.0 * dist.mean(), 10_000, _stream(seed, 10, j + 10))
+        out += check_compensator(dist, blocks, (5.0, 20.0, 50.0))
     return out
 
 
@@ -544,7 +530,8 @@ def criterion_11_scaled_sup_sweeps(seed: int) -> list[CheckResult]:
 
     The free parameters (gamma rate, pareto scale) are calibrated so the
     exceedance probabilities are resolvable at 1e3 paths; the assertions are
-    unchanged.
+    unchanged.  The bounds are max xi / T^p and max tau / T^(1/p); on a
+    zero-delayed path max tau is sup B itself.
     """
     out = []
     sweeps = [
@@ -553,28 +540,30 @@ def criterion_11_scaled_sup_sweeps(seed: int) -> list[CheckResult]:
     ]
     for label, dist, which, p in sweeps:
         probs = []
+        stragglers = []
         dominated = True
         for j, T in enumerate((1.0e2, 1.0e3, 1.0e4)):
             rng = _stream(seed, 11, 100 * j + (0 if which == "compensator" else 7))
-            hits = 0
-            for _ in range(1000):
-                path = simulate_path(dist, T, "zero", rng)
+            hits = straggled = 0
+            for block in simulate_paths(dist, T, 1000, rng):
                 if which == "compensator":
-                    value = scaled_compensator_sup(path, dist, T, p)
-                    bound = path_max_statistic(path, dist, T, "max-xi") / T**p
+                    sup_a, sup_b = block.span_sups()
+                    value = dist.cumulative_hazard(sup_a) / T**p
+                    bound = dist.cumulative_hazard(sup_b) / T**p
                 else:
-                    _, value = scaled_recurrence_sup(path, T, p)
-                    bound = path_max_statistic(path, dist, T, "max-tau") / T ** (1.0 / p)
-                dominated = dominated and value <= bound + 1e-12
-                hits += value > 0.1
+                    value = bound = block.cycle_maxima() / T ** (1.0 / p)
+                dominated = dominated and bool((value <= bound + 1e-12).all())
+                hits += int(np.count_nonzero(value > 0.1))
+                straggled += block.stragglers
             probs.append(hits / 1000.0)
+            stragglers.append(straggled)
         decreasing = probs[0] > probs[1] > probs[2]
         out.append(
             CheckResult(
                 11,
                 label,
                 decreasing and dominated,
-                {"P(sup>0.1)": probs, "pathwise_domination": dominated},
+                {"P(sup>0.1)": probs, "pathwise_domination": dominated, "stragglers": stragglers},
                 "strictly decreasing over T in {1e2,1e3,1e4}; domination on every path",
             )
         )
@@ -585,9 +574,13 @@ def criterion_12_rootzen(seed: int) -> list[CheckResult]:
     """Uniform error of the cycle-maximum approximation shrinks with the horizon."""
     dist = Gamma(2.0, 1.0)
     t0 = time.perf_counter()
-    e_small = rootzen_uniform_error(dist, 20.0, 5000, "max-xi", _stream(seed, 12, 0))
-    e_large = rootzen_uniform_error(dist, 200.0, 5000, "max-xi", _stream(seed, 12, 1))
-    return [check_rootzen_shrinks(dist, [20.0, 200.0], [e_small, e_large], 5000, seconds=time.perf_counter() - t0)]
+    errs, stragglers = [], []
+    for j, T in enumerate((20.0, 200.0)):
+        blocks = list(simulate_paths(dist, T, 5000, _stream(seed, 12, j)))
+        errs.append(cycle_max_uniform_error(dist, T, np.concatenate([b.cycle_maxima() for b in blocks]), "max-xi"))
+        stragglers.append(sum(b.stragglers for b in blocks))
+    result = check_rootzen_shrinks(dist, [20.0, 200.0], errs, 5000, seconds=time.perf_counter() - t0)
+    return [replace(result, measured={**result.measured, "stragglers": stragglers})]
 
 
 CRITERIA = {

@@ -33,11 +33,10 @@ from .acceptance import (
     check_rootzen_shrinks,
     check_stone_split,
     krt_fit,
-    martingale_residuals,
     run_acceptance,
 )
 from .asymptotics import krt_error_curve
-from .compensator import rootzen_uniform_error, simulate_path
+from .compensator import PathBlock, rootzen_uniform_error, simulate_path
 from .coupling import find_common_component, simulate_coupling
 from .distributions import _config_number, distribution_from_config
 from .errors import ConfigError, FiniteSupportError, HorizonExceededError, RenewalLabError
@@ -430,13 +429,13 @@ def compensator(runner: Runner, cfg: dict):
         rows = ((i, t) for i, path in enumerate(paths[:50]) for t in path.events)
         runner.write_rows("paths.csv", "path,event_time", rows)
 
-    shown = [martingale_residuals(path, dist, mults) for path in paths[:8]]
+    shown = PathBlock.from_paths(paths[:8]).residuals(dist, np.asarray(mults) * dist.mean())
     runner.write_rows(
         "martingale.csv",
         "t," + ",".join(f"path{i}" for i in range(len(shown))),
-        ((m * dist.mean(), *(r[j] for r in shown)) for j, m in enumerate(mults)),
+        ((m * dist.mean(), *column) for m, column in zip(mults, shown.T)),
     )
-    for result in check_compensator(dist, paths, mults):
+    for result in check_compensator(dist, [PathBlock.from_paths(paths)], mults):
         runner.check(result)
 
 

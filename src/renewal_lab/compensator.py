@@ -1,6 +1,10 @@
 """Renewal-path simulation, recurrence times, the hazard-integral compensator,
 cycle variables, and empirical checks of the scaled-supremum limits.
 
+A path is one ``RenewalPath``; many zero-delayed paths to one horizon are
+simulated and read as ``PathBlock`` rows, which equal the one-path reads
+bit for bit.
+
 Counting convention: N(t) = sum_{n>=0} 1{S_n <= t} counts the renewal at the
 origin of a zero-delayed path, so the centered martingale reads
 N(t) - 1 - Lambda(t).  The ``events`` array of a path stores only the
@@ -10,7 +14,8 @@ strictly positive renewals; ``count`` adds the origin back for pure paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -20,8 +25,10 @@ from .errors import FiniteSupportError, HorizonExceededError
 
 __all__ = [
     "RenewalPath",
+    "PathBlock",
     "CycleHazards",
     "simulate_path",
+    "simulate_paths",
     "draw_interarrivals",
     "sample_forward_recurrence",
     "recurrence_times",
@@ -30,6 +37,7 @@ __all__ = [
     "scaled_compensator_sup",
     "scaled_recurrence_sup",
     "path_max_statistic",
+    "cycle_max_uniform_error",
     "rootzen_uniform_error",
 ]
 
@@ -92,6 +100,30 @@ class RenewalPath:
         return spans
 
 
+def _block_width(gap: float, mean: float) -> int:
+    """Interarrivals in the next block of a path with ``gap`` left to its
+    horizon: the expected count plus a margin of a fifth of it,
+    10 sqrt(count + 1) and 16, so one block nearly always passes it."""
+    expect = max(gap, 0.0) / mean
+    return int(1.2 * expect + 10.0 * math.sqrt(expect + 1.0) + 16.0)
+
+
+def _sums_past(dist: Distribution, horizon: float, tau0: float, last: float, rng) -> list[np.ndarray]:
+    """Blocks of partial sums that continue the sequential sum from ``last``,
+    each sized by ``_block_width``, until the last sum plus ``tau0`` passes
+    the horizon; the stop test reads the sums themselves."""
+    mean = dist.mean()
+    chunks = []
+    while True:
+        draws = draw_interarrivals(dist, _block_width(horizon - (last + tau0), mean), rng)
+        draws[0] += last
+        np.cumsum(draws, out=draws)
+        chunks.append(draws)
+        last = float(draws[-1])
+        if last + tau0 > horizon:
+            return chunks
+
+
 def simulate_path(dist: Distribution, horizon: float, delay, rng: np.random.Generator) -> RenewalPath:
     """Simulate a renewal path until the first event strictly past the horizon.
 
@@ -109,27 +141,155 @@ def simulate_path(dist: Distribution, horizon: float, delay, rng: np.random.Gene
     else:
         tau0 = float(delay)
 
-    mean = dist.mean()
-    chunks = []
-    # the last partial sum so far; each block continues the sequential sum
-    # in place from it, so the stop test reads the events themselves
-    last = 0.0
-    while True:
-        expect = max(horizon - (last + tau0), 0.0) / mean
-        block = int(1.2 * expect + 10.0 * math.sqrt(expect + 1.0) + 16.0)
-        draws = draw_interarrivals(dist, block, rng)
-        draws[0] += last
-        np.cumsum(draws, out=draws)
-        chunks.append(draws)
-        last = float(draws[-1])
-        if last + tau0 > horizon:
-            break
+    chunks = _sums_past(dist, horizon, tau0, 0.0, rng)
     events = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
     if tau0 > 0.0:
         events += tau0
         events = np.concatenate(([tau0], events))
     keep = int(events.searchsorted(horizon, side="right")) + 1
     return RenewalPath(tau0, events[:keep], horizon)
+
+
+@dataclass(frozen=True, eq=False)
+class PathBlock:
+    """Zero-delayed paths to one horizon as the rows of one 2-D array.
+
+    Row i of ``events`` holds one path's events: ``counts[i]`` of them in
+    (0, horizon], then the first one past it, then entries no reader uses.
+    ``spans`` holds each row's gaps from the origin through that first event
+    past the horizon (the ``RenewalPath.spans`` of the row) and 0 after, and
+    is read-only.  ``stragglers`` is the number of rows whose first block of
+    draws ended at or below the horizon (see ``simulate_paths``).
+
+    Each reader equals the matching per-path reader on every row bit for
+    bit: it calls the hazard on the same values and adds in the same
+    sequential order, by a row-wise cumsum.
+    """
+
+    events: np.ndarray
+    horizon: float
+    stragglers: int
+    counts: np.ndarray = field(init=False, repr=False)
+    spans: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        events = np.asarray(self.events, dtype=float)
+        if events.ndim != 2 or not events.size:
+            raise ValueError("a path block holds one or more rows of events")
+        past = events > self.horizon
+        counts = past.argmax(axis=1)
+        if not past[np.arange(len(events)), counts].all():
+            raise ValueError("simulation must run past the horizon on every row")
+        width = int(counts.max()) + 1
+        events = events[:, :width]
+        spans = np.empty_like(events)
+        spans[:, 0] = events[:, 0]
+        np.subtract(events[:, 1:], events[:, :-1], out=spans[:, 1:])
+        if (counts < width - 1).any():
+            spans[np.arange(width) > counts[:, None]] = 0.0
+        # the kept spans, the first event's included, must all be > 0
+        if np.count_nonzero(spans > 0.0) != counts.sum() + len(events):
+            raise ValueError("event times must be positive and strictly increasing")
+        spans.flags.writeable = False
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "spans", spans)
+
+    @classmethod
+    def from_paths(cls, paths) -> PathBlock:
+        """One block of zero-delayed paths that share a horizon, a row per path."""
+        if not paths or not all(p.is_pure and p.horizon == paths[0].horizon for p in paths):
+            raise ValueError("a path block needs one or more zero-delayed paths with one horizon")
+        return cls(_stacked([p.events for p in paths]), paths[0].horizon, 0)
+
+    def _ages(self, ts, k):
+        """A_t of every row at each t, given k = events in (0, t]: ``_age``
+        row by row, reading column 0 where it reads column -1 (k = 0, where
+        the factor (k >= 1) zeroes the read)."""
+        return ts - np.take_along_axis(self.events, np.maximum(k - 1, 0), axis=1) * (k >= 1)
+
+    def residuals(self, dist: Distribution, ts) -> np.ndarray:
+        """N(t) - 1 - Lambda(t) of every row at every t in ``ts``, shape
+        (rows, len(ts)), by one cumulative-hazard call: the cycles completed
+        by the horizon, then the running partial of every (row, t)."""
+        ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1 or not ((ts >= 0.0) & (ts <= self.horizon)).all():
+            raise HorizonExceededError(f"times {ts} outside [0, {self.horizon:g}]")
+        k = (self.events[:, :, None] <= ts).sum(axis=1)
+        done = np.arange(self.spans.shape[1]) < self.counts[:, None]
+        xi = dist.cumulative_hazard(np.concatenate((self.spans[done], self._ages(ts, k).ravel())))
+        full = np.zeros(done.shape)
+        full[:, 1:][done[:, :-1]] = xi[: len(xi) - k.size]
+        np.cumsum(full, axis=1, out=full)
+        return k - (np.take_along_axis(full, k, axis=1) + xi[len(xi) - k.size :].reshape(k.shape))
+
+    def cycle_hazards(self, dist: Distribution, rows: int) -> np.ndarray:
+        """The ``cycle_hazards`` xi of the first ``rows`` rows, row after row,
+        by one cumulative-hazard call on their kept spans."""
+        spans = self.spans[:rows]
+        return dist.cumulative_hazard(spans[spans > 0.0])
+
+    def cycle_maxima(self) -> np.ndarray:
+        """Per row, max tau_k over the cycles started by the horizon, the
+        straddler whole: ``path_max_statistic``'s max-tau (max-xi is H of it)."""
+        return self.spans.max(axis=1)
+
+    def span_sups(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, (sup A_t, sup B_t) over t in [0, horizon], as ``_span_sups``."""
+        completed = self.spans.copy()
+        completed[np.arange(len(completed)), self.counts] = 0.0
+        age = self._ages(self.horizon, self.counts[:, None])[:, 0]
+        return np.maximum(completed.max(axis=1), age), self.cycle_maxima()
+
+
+# floats in one block of simulate_paths (rows x width), bounding its memory
+_PATH_BLOCK_FLOATS = 2**14
+
+
+def simulate_paths(dist: Distribution, T: float, n: int, rng: np.random.Generator) -> Iterator[PathBlock]:
+    """n zero-delayed paths run past T, as ``PathBlock``s of consecutive rows.
+
+    Every row draws one first block of ``_block_width(T, mean)``
+    interarrivals, as ``simulate_path`` does.  A block of rows is one
+    row-major draw and a row-wise cumsum, with rows x width at most
+    ``_PATH_BLOCK_FLOATS`` (at least one row).  A row whose block ends at or
+    below T is a straggler: after the block's draw it gets its next blocks
+    as ``simulate_path`` continues a path.  The widths depend only on draws
+    already made, so every row is an exact path; while no row straggles,
+    the rows are the paths of n ``simulate_path`` calls on ``rng``, bit for
+    bit, and the generator ends in the same state.
+    """
+    if rng is None:
+        raise ValueError("an explicitly seeded rng is required")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {T}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return _path_blocks(dist, T, n, rng)
+
+
+def _path_blocks(dist: Distribution, T: float, n: int, rng) -> Iterator[PathBlock]:
+    width = _block_width(T, dist.mean())
+    rows = max(1, _PATH_BLOCK_FLOATS // width)
+    for start in range(0, n, rows):
+        events = draw_interarrivals(dist, (min(rows, n - start), width), rng)
+        np.cumsum(events, axis=1, out=events)
+        stragglers = np.flatnonzero(events[:, -1] <= T)
+        if stragglers.size:
+            rows = list(events)
+            for i in stragglers:
+                rows[i] = np.concatenate((events[i], *_sums_past(dist, T, 0.0, float(events[i, -1]), rng)))
+            events = _stacked(rows)
+        yield PathBlock(events, T, int(stragglers.size))
+
+
+def _stacked(rows) -> np.ndarray:
+    """Rows of event times as one 2-D array, each padded with its last event."""
+    out = np.empty((len(rows), max(len(row) for row in rows)))
+    for line, row in zip(out, rows):
+        line[: len(row)] = row
+        line[len(row) :] = row[-1]
+    return out
 
 
 # rows simulated together by sample_forward_recurrence, bounding its block memory
@@ -161,7 +321,8 @@ def sample_forward_recurrence(dist: Distribution, t: float, n: int, rng: np.rand
             width = int((t - last.min()) / mean) + 1
             totals = draw_interarrivals(dist, (len(rows), width), rng)
             np.cumsum(totals, axis=1, out=totals)
-            totals += last[:, None]
+            if last.any():  # the first round starts every row at 0
+                totals += last[:, None]
             done = totals[:, -1] > t
             first = np.argmax(totals > t, axis=1)
             out[rows[done]] = totals[done, first[done]] - t
@@ -281,6 +442,40 @@ def path_max_statistic(path: RenewalPath, dist: Distribution, T: float, statisti
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
+def _check_statistic(dist: Distribution, statistic: str) -> None:
+    if statistic not in ("max-xi", "max-tau"):
+        raise ValueError(f'statistic must be "max-xi" or "max-tau", got {statistic!r}')
+    if statistic == "max-tau" and math.isfinite(dist.support_end()):
+        raise FiniteSupportError("the cycle-max law has bounded support; G^{mT} degenerates")
+
+
+def cycle_max_uniform_error(dist: Distribution, T: float, maxima, statistic: str) -> float:
+    """sup_x |F_T(x) - G(x)^{mT}| for the per-path cycle maxima over [0, T].
+
+    ``maxima`` holds each path's max tau (``PathBlock.cycle_maxima``); for
+    max-xi one cumulative-hazard call maps the whole sample set, which is
+    the per-path max xi since H is nondecreasing.  G is the single-cycle
+    law: standard exponential for max-xi, F itself for max-tau.  G^{mT} is
+    continuous for every pair accepted here (max-tau on a bounded law is
+    rejected), so between the jumps of the empirical F_T the gap is
+    monotone and the sup is read at the sample points, on both sides of
+    each jump.
+    """
+    _check_statistic(dist, statistic)
+    samples = np.array(maxima, dtype=float)
+    if samples.ndim != 1 or not samples.size:
+        raise ValueError("maxima must be one or more per-path cycle maxima")
+    if statistic == "max-xi":
+        samples = dist.cumulative_hazard(samples)
+    samples.sort()
+    n = len(samples)
+    g = -np.expm1(-samples) if statistic == "max-xi" else np.asarray(dist.cdf(samples), dtype=float)
+    target = np.power(np.clip(g, 0.0, 1.0), dist.rate() * T)
+    upper = np.arange(1, n + 1) / n
+    lower = np.arange(0, n) / n
+    return float(np.max(np.maximum(np.abs(upper - target), np.abs(lower - target))))
+
+
 def rootzen_uniform_error(
     dist: Distribution,
     T: float,
@@ -288,30 +483,11 @@ def rootzen_uniform_error(
     statistic: str,
     rng: np.random.Generator,
 ) -> float:
-    """sup_x |F_T(x) - G(x)^{mT}| for the per-path cycle maximum over [0, T].
-
-    G is the single-cycle law: standard exponential for max-xi, F itself for
-    max-tau.  G^{mT} is continuous for every pair accepted here (max-tau on a
-    bounded law is rejected), so between the jumps of the empirical F_T the
-    gap is monotone and the sup is read at the sample points, on both sides
-    of each jump.  Each path gives its max tau; for max-xi one
-    cumulative-hazard call maps the whole sample set, which is the per-path
-    max xi since H is nondecreasing.
-    """
-    if statistic not in ("max-xi", "max-tau"):
-        raise ValueError(f'statistic must be "max-xi" or "max-tau", got {statistic!r}')
+    """``cycle_max_uniform_error`` over the cycle maxima of ``n_paths``
+    zero-delayed paths to T from ``simulate_paths``; the arguments are
+    checked before any draw."""
+    _check_statistic(dist, statistic)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
-    if statistic == "max-tau" and math.isfinite(dist.support_end()):
-        raise FiniteSupportError("the cycle-max law has bounded support; G^{mT} degenerates")
-    samples = np.empty(n_paths)
-    for i in range(n_paths):
-        samples[i] = path_max_statistic(simulate_path(dist, T, "zero", rng), dist, T, "max-tau")
-    if statistic == "max-xi":
-        samples = dist.cumulative_hazard(samples)
-    samples.sort()
-    g = -np.expm1(-samples) if statistic == "max-xi" else np.asarray(dist.cdf(samples), dtype=float)
-    target = np.power(np.clip(g, 0.0, 1.0), dist.rate() * T)
-    upper = np.arange(1, n_paths + 1) / n_paths
-    lower = np.arange(0, n_paths) / n_paths
-    return float(np.max(np.maximum(np.abs(upper - target), np.abs(lower - target))))
+    maxima = np.concatenate([block.cycle_maxima() for block in simulate_paths(dist, T, n_paths, rng)])
+    return cycle_max_uniform_error(dist, T, maxima, statistic)

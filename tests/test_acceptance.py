@@ -7,12 +7,17 @@ numerical floor inside the required window and the weighted sequence cannot
 decrease there; see the analysis in the decisions log outside the package.
 """
 
+import math
 import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from renewal_lab.acceptance import CRITERIA, DEFAULT_SEED, _stream
+from renewal_lab import compensator
+from renewal_lab.acceptance import CRITERIA, DEFAULT_SEED, _stream, check_compensator
+from renewal_lab.compensator import compensator_at, cycle_hazards, simulate_path, simulate_paths
+from renewal_lab.distributions import Gamma
 
 
 def run(criterion):
@@ -111,3 +116,35 @@ def test_stream_key_words_are_32_bit(key):
     # would draw a stream of seed s
     with pytest.raises(ValueError, match=r"stream key words must lie in \[0, 2\*\*32\)"):
         _stream(*key)
+
+
+def _check_compensator_loop(dist, paths, mults):
+    """check_compensator's measured values read path by path: the loop the
+    block reads replaced, kept as their reference."""
+    ts = np.asarray(mults, dtype=float) * dist.mean()
+    columns, xi_parts, xi_count = [], [], 0
+    for path in paths:
+        columns.append([path.count(t) - 1 - float(v) for t, v in zip(ts.tolist(), compensator_at(path, dist, ts))])
+        if xi_count < 12_000:
+            xi_parts.append(cycle_hazards(path, dist).xi)
+            xi_count += len(xi_parts[-1])
+    pool = np.concatenate(xi_parts)
+    ks = stats.kstest(pool, "expon")
+    meas = {}
+    for m, v in zip(mults, np.asarray(columns).T.copy()):
+        meas[f"mean@{m:g}m"] = float(v.mean())
+        meas[f"bound@{m:g}m"] = 3.0 * float(v.std()) / math.sqrt(len(v))
+    return {"ks": float(ks.statistic), "pvalue": float(ks.pvalue), "n_cycles": len(pool)}, meas
+
+
+def test_check_compensator_equals_the_per_path_loop(monkeypatch):
+    # blocks of 20 paths, so the 12000-cycle pool ends inside one of many
+    dist = Gamma(2.0, 1.0)
+    T = 50.0 * dist.mean()
+    monkeypatch.setattr(compensator, "_PATH_BLOCK_FLOATS", 3000)
+    rng = _stream(1, 0, 0)
+    ks_loop, centering_loop = _check_compensator_loop(dist, [simulate_path(dist, T, "zero", rng) for _ in range(600)],
+                                                      (5.0, 50.0))
+    ks, centering = check_compensator(dist, simulate_paths(dist, T, 600, _stream(1, 0, 0)), (5.0, 50.0))
+    assert ks.measured == ks_loop and ks_loop["n_cycles"] > 12_000
+    assert centering.measured == {**centering_loop, "stragglers": 0}

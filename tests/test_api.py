@@ -76,8 +76,10 @@ SURFACE = {
     },
     "compensator": {
         "RenewalPath",
+        "PathBlock",
         "CycleHazards",
         "simulate_path",
+        "simulate_paths",
         "draw_interarrivals",
         "sample_forward_recurrence",
         "recurrence_times",
@@ -86,6 +88,7 @@ SURFACE = {
         "scaled_compensator_sup",
         "scaled_recurrence_sup",
         "path_max_statistic",
+        "cycle_max_uniform_error",
         "rootzen_uniform_error",
     },
     "asymptotics": {"DecayCurve", "SlopeFit", "krt_error_curve", "tv_decay_curve", "fit_slope"},
@@ -103,12 +106,12 @@ PINNED = {f"{m}.{name}": getattr(getattr(renewal_lab, m), name) for m in SURFACE
 
 
 def _function(member):
-    """The function behind a method, static method or property."""
+    """The function behind a method, static or class method, or property."""
     if isinstance(member, property):
         return member.fget
     if isinstance(member, functools.cached_property):
         return member.func
-    if isinstance(member, staticmethod):
+    if isinstance(member, (staticmethod, classmethod)):
         return member.__func__
     return member if inspect.isfunction(member) else None
 

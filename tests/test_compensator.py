@@ -7,6 +7,7 @@ from scipy import stats
 from renewal_lab import (
     Exponential,
     Gamma,
+    PathBlock,
     RenewalPath,
     ShiftedPareto,
     Uniform,
@@ -19,6 +20,7 @@ from renewal_lab import (
     scaled_compensator_sup,
     scaled_recurrence_sup,
     simulate_path,
+    simulate_paths,
 )
 from renewal_lab import compensator
 from renewal_lab.compensator import _RECURRENCE_ROWS, draw_interarrivals
@@ -568,6 +570,11 @@ class TestOneHazardCallReads:
         rootzen_uniform_error(d, 20.0, 50, "max-xi", np.random.default_rng(4))
         rootzen_uniform_error(ShiftedPareto(3.5, 1.0), 20.0, 50, "max-tau", np.random.default_rng(4))
         assert shapes == [(50,)]
+        shapes.clear()
+        (block,) = simulate_paths(d, 20.0, 30, np.random.default_rng(4))
+        block.residuals(d, [5.0, 20.0])
+        block.cycle_hazards(d, 30)
+        assert shapes == [(int(block.counts.sum()) + 60,), (int(block.counts.sum()) + 30,)]
 
     def test_array_hazard_matches_scalar_calls(self, dist):
         # rootzen_uniform_error maps a whole sample set through one call
@@ -597,6 +604,104 @@ def _rootzen_oracles(dist, T, n_paths, statistic, rng):
     emp = np.searchsorted(samples, lattice, side="right") / n_paths
     target_lat = np.power(np.clip(g_cdf(lattice), 0.0, 1.0), exponent)
     return err, float(np.max(np.abs(emp - target_lat)))
+
+
+def _per_path_reads(path, dist, ts):
+    """The per-path readers of one zero-delayed path: N(t) - 1 - Lambda(t) at
+    ``ts``, the cycle hazards, (sup A, sup B) and max tau over [0, horizon]."""
+    T = path.horizon
+    residuals = np.array([path.count(t) for t in ts]) - 1 - compensator_at(path, dist, ts)
+    return (residuals, cycle_hazards(path, dist).xi, compensator._span_sups(path, T),
+            path_max_statistic(path, dist, T, "max-tau"), path_max_statistic(path, dist, T, "max-xi"))
+
+
+def _assert_rows_read_as_paths(block, paths, dist, ts):
+    """Every row of ``block`` holds the matching path and reads as it does."""
+    assert len(block.events) == len(paths)
+    residuals, (sup_a, sup_b), maxima = block.residuals(dist, ts), block.span_sups(), block.cycle_maxima()
+    xi = np.split(block.cycle_hazards(dist, len(paths)), np.cumsum(block.counts + 1)[:-1])
+    for i, path in enumerate(paths):
+        k = int(block.counts[i])
+        assert np.array_equal(block.events[i, : k + 1], path.events)
+        assert np.array_equal(block.spans[i, : k + 1], path.spans) and not block.spans[i, k + 1 :].any()
+        reads = _per_path_reads(path, dist, ts)
+        assert np.array_equal(residuals[i], reads[0]) and np.array_equal(xi[i], reads[1])
+        assert (sup_a[i], sup_b[i], maxima[i]) == (*reads[2], reads[3])
+        assert dist.cumulative_hazard(maxima[i]) == reads[4]
+
+
+class TestPathBlocks:
+    def test_batch_equals_per_path_loop(self, dist):
+        # 1000 paths to 50 means go in several blocks of at most _PATH_BLOCK_FLOATS floats
+        T = 50.0 * dist.mean()
+        ts = np.array([5.0, 20.0, 50.0]) * dist.mean()
+        loop_rng, batch_rng = np.random.default_rng(11), np.random.default_rng(11)
+        paths = [simulate_path(dist, T, "zero", loop_rng) for _ in range(1000)]
+        blocks = list(simulate_paths(dist, T, 1000, batch_rng))
+        assert len(blocks) > 2 and sum(b.stragglers for b in blocks) == 0
+        assert all(b.events.size <= compensator._PATH_BLOCK_FLOATS for b in blocks)
+        # the whole reads, as check_compensator and the criteria take them
+        residuals = np.concatenate([b.residuals(dist, ts) for b in blocks])
+        pool = np.concatenate([b.cycle_hazards(dist, len(b.events)) for b in blocks])
+        reads = [_per_path_reads(path, dist, ts) for path in paths]
+        assert np.array_equal(residuals, [r[0] for r in reads])
+        assert np.array_equal(pool, np.concatenate([r[1] for r in reads]))
+        sup_a, sup_b = (np.concatenate(parts) for parts in zip(*(b.span_sups() for b in blocks)))
+        assert np.array_equal(sup_a, [r[2][0] for r in reads]) and np.array_equal(sup_b, [r[2][1] for r in reads])
+        maxima = np.concatenate([b.cycle_maxima() for b in blocks])
+        assert np.array_equal(maxima, [r[3] for r in reads])
+        assert np.array_equal(dist.cumulative_hazard(maxima), [r[4] for r in reads])
+        assert batch_rng.random() == loop_rng.random()
+        _assert_rows_read_as_paths(blocks[0], paths[: len(blocks[0].events)], dist, ts)
+
+    def test_forced_stragglers_stay_exact_paths(self, dist, monkeypatch):
+        # a first block of about the expected count leaves about half the rows
+        # short of T; each gets its next blocks after the block's draw
+        monkeypatch.setattr(compensator, "_block_width", lambda gap, mean: max(int(gap / mean), 1))
+        T = 20.0 * dist.mean()
+        rng = np.random.default_rng(5)
+        blocks = list(simulate_paths(dist, T, 200, rng))
+        stragglers = sum(b.stragglers for b in blocks)
+        assert 20 < stragglers < 180
+        for block in blocks:
+            assert (block.events[np.arange(len(block.events)), block.counts] > T).all()
+            paths = [RenewalPath(0.0, row[: k + 1], T) for row, k in zip(block.events, block.counts)]
+            _assert_rows_read_as_paths(block, paths, dist, np.array([2.0, 10.0, 20.0]) * dist.mean())
+
+    def test_from_paths_reads_each_path(self, dist, rng):
+        T = 20.0 * dist.mean()
+        paths = [simulate_path(dist, T, "zero", rng) for _ in range(40)]
+        block = PathBlock.from_paths(paths)
+        assert block.stragglers == 0
+        _assert_rows_read_as_paths(block, paths, dist, np.array([0.0, 7.0, 20.0]) * dist.mean())
+
+    def test_block_validation(self):
+        with pytest.raises(ValueError, match="one or more rows"):
+            PathBlock(np.array([1.0, 2.0]), 1.5, 0)
+        with pytest.raises(ValueError, match="past the horizon"):
+            PathBlock(np.array([[1.0, 2.0], [0.5, 1.0]]), 1.5, 0)
+        for row in ([0.5, 0.4, 2.0], [0.5, 0.5, 2.0], [0.5, math.nan, 2.0], [-0.5, 0.2, 2.0], [0.0, 0.2, 2.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                PathBlock(np.array([[0.5, 1.0, 2.0], row]), 1.5, 0)
+        # entries after the first event past the horizon are not read
+        block = PathBlock(np.array([[0.5, 2.0, -7.0], [0.5, 1.0, 2.0]]), 1.5, 0)
+        assert block.counts.tolist() == [1, 2]
+        assert block.spans.tolist() == [[0.5, 1.5, 0.0], [0.5, 0.5, 1.0]]
+        with pytest.raises(ValueError):
+            block.spans[0, 0] = 1.0
+        with pytest.raises(HorizonExceededError):
+            block.residuals(Exponential(1.0), [1.0, 1.6])
+        with pytest.raises(ValueError, match="zero-delayed"):
+            PathBlock.from_paths([RenewalPath(0.5, np.array([0.5, 2.0]), 1.5)])
+
+    @pytest.mark.parametrize("T, n", [(0.0, 5), (math.inf, 5), (10.0, -1)])
+    def test_simulate_paths_rejects_bad_arguments_before_any_draw(self, T, n):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            simulate_paths(Exponential(1.0), T, n, rng)
+        assert rng.bit_generator.state == state
+        assert list(simulate_paths(Exponential(1.0), 10.0, 0, rng)) == []
 
 
 class TestRootzen:
