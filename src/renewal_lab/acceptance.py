@@ -23,7 +23,7 @@ import numpy as np
 from scipy import stats
 
 from .asymptotics import DecayCurve, SlopeFit, fit_slope, krt_error_curve, tv_decay_curve
-from .compensator import cycle_max_uniform_error, sample_forward_recurrence, simulate_paths
+from .compensator import _rootzen_error, sample_forward_recurrence, simulate_paths
 from .coupling import (
     coupling_moment,
     coupling_tail,
@@ -576,9 +576,9 @@ def criterion_12_rootzen(seed: int) -> list[CheckResult]:
     t0 = time.perf_counter()
     errs, stragglers = [], []
     for j, T in enumerate((20.0, 200.0)):
-        blocks = list(simulate_paths(dist, T, 5000, _stream(seed, 12, j)))
-        errs.append(cycle_max_uniform_error(dist, T, np.concatenate([b.cycle_maxima() for b in blocks]), "max-xi"))
-        stragglers.append(sum(b.stragglers for b in blocks))
+        err, straggled = _rootzen_error(dist, T, 5000, "max-xi", _stream(seed, 12, j))
+        errs.append(err)
+        stragglers.append(straggled)
     result = check_rootzen_shrinks(dist, [20.0, 200.0], errs, 5000, seconds=time.perf_counter() - t0)
     return [replace(result, measured={**result.measured, "stragglers": stragglers})]
 

@@ -36,7 +36,7 @@ from .acceptance import (
     run_acceptance,
 )
 from .asymptotics import krt_error_curve
-from .compensator import PathBlock, rootzen_uniform_error, simulate_path
+from .compensator import _PATH_BLOCK_FLOATS, PathBlock, rootzen_uniform_error, simulate_path
 from .coupling import find_common_component, simulate_coupling
 from .distributions import _config_number, distribution_from_config
 from .errors import ConfigError, FiniteSupportError, HorizonExceededError, RenewalLabError
@@ -435,7 +435,10 @@ def compensator(runner: Runner, cfg: dict):
         "t," + ",".join(f"path{i}" for i in range(len(shown))),
         ((m * dist.mean(), *column) for m, column in zip(mults, shown.T)),
     )
-    for result in check_compensator(dist, [PathBlock.from_paths(paths)], mults):
+    # blocks of simulate_paths' size, so the reads hold a bounded copy of the paths
+    per_block = max(1, _PATH_BLOCK_FLOATS // max(len(path.events) for path in paths))
+    blocks = (PathBlock.from_paths(paths[i : i + per_block]) for i in range(0, n_paths, per_block))
+    for result in check_compensator(dist, blocks, mults):
         runner.check(result)
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "scaled_compensator_sup",
     "scaled_recurrence_sup",
     "path_max_statistic",
-    "cycle_max_uniform_error",
     "rootzen_uniform_error",
 ]
 
@@ -215,7 +214,9 @@ class PathBlock:
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1 or not ((ts >= 0.0) & (ts <= self.horizon)).all():
             raise HorizonExceededError(f"times {ts} outside [0, {self.horizon:g}]")
-        k = (self.events[:, :, None] <= ts).sum(axis=1)
+        # events in (0, t]: the first index past t, which is at most the
+        # straddler's, so entries after it are never read
+        k = (self.events[:, None, :] > ts[:, None]).argmax(axis=2)
         done = np.arange(self.spans.shape[1]) < self.counts[:, None]
         xi = dist.cumulative_hazard(np.concatenate((self.spans[done], self._ages(ts, k).ravel())))
         full = np.zeros(done.shape)
@@ -276,10 +277,10 @@ def _path_blocks(dist: Distribution, T: float, n: int, rng) -> Iterator[PathBloc
         np.cumsum(events, axis=1, out=events)
         stragglers = np.flatnonzero(events[:, -1] <= T)
         if stragglers.size:
-            rows = list(events)
+            lines = list(events)
             for i in stragglers:
-                rows[i] = np.concatenate((events[i], *_sums_past(dist, T, 0.0, float(events[i, -1]), rng)))
-            events = _stacked(rows)
+                lines[i] = np.concatenate((events[i], *_sums_past(dist, T, 0.0, float(events[i, -1]), rng)))
+            events = _stacked(lines)
         yield PathBlock(events, T, int(stragglers.size))
 
 
@@ -442,40 +443,6 @@ def path_max_statistic(path: RenewalPath, dist: Distribution, T: float, statisti
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
-def _check_statistic(dist: Distribution, statistic: str) -> None:
-    if statistic not in ("max-xi", "max-tau"):
-        raise ValueError(f'statistic must be "max-xi" or "max-tau", got {statistic!r}')
-    if statistic == "max-tau" and math.isfinite(dist.support_end()):
-        raise FiniteSupportError("the cycle-max law has bounded support; G^{mT} degenerates")
-
-
-def cycle_max_uniform_error(dist: Distribution, T: float, maxima, statistic: str) -> float:
-    """sup_x |F_T(x) - G(x)^{mT}| for the per-path cycle maxima over [0, T].
-
-    ``maxima`` holds each path's max tau (``PathBlock.cycle_maxima``); for
-    max-xi one cumulative-hazard call maps the whole sample set, which is
-    the per-path max xi since H is nondecreasing.  G is the single-cycle
-    law: standard exponential for max-xi, F itself for max-tau.  G^{mT} is
-    continuous for every pair accepted here (max-tau on a bounded law is
-    rejected), so between the jumps of the empirical F_T the gap is
-    monotone and the sup is read at the sample points, on both sides of
-    each jump.
-    """
-    _check_statistic(dist, statistic)
-    samples = np.array(maxima, dtype=float)
-    if samples.ndim != 1 or not samples.size:
-        raise ValueError("maxima must be one or more per-path cycle maxima")
-    if statistic == "max-xi":
-        samples = dist.cumulative_hazard(samples)
-    samples.sort()
-    n = len(samples)
-    g = -np.expm1(-samples) if statistic == "max-xi" else np.asarray(dist.cdf(samples), dtype=float)
-    target = np.power(np.clip(g, 0.0, 1.0), dist.rate() * T)
-    upper = np.arange(1, n + 1) / n
-    lower = np.arange(0, n) / n
-    return float(np.max(np.maximum(np.abs(upper - target), np.abs(lower - target))))
-
-
 def rootzen_uniform_error(
     dist: Distribution,
     T: float,
@@ -483,11 +450,42 @@ def rootzen_uniform_error(
     statistic: str,
     rng: np.random.Generator,
 ) -> float:
-    """``cycle_max_uniform_error`` over the cycle maxima of ``n_paths``
-    zero-delayed paths to T from ``simulate_paths``; the arguments are
-    checked before any draw."""
-    _check_statistic(dist, statistic)
+    """sup_x |F_T(x) - G(x)^{mT}| over ``n_paths`` zero-delayed paths to T.
+
+    G is the single-cycle law of the statistic: standard exponential for
+    max-xi, F itself for max-tau.  See ``_rootzen_error``.
+    """
+    return _rootzen_error(dist, T, n_paths, statistic, rng)[0]
+
+
+def _rootzen_error(dist: Distribution, T: float, n_paths: int, statistic: str, rng) -> tuple[float, int]:
+    """(``rootzen_uniform_error``, stragglers of its ``simulate_paths``
+    blocks); the arguments are checked before any draw.
+
+    Each path's max tau is ``PathBlock.cycle_maxima``; for max-xi one
+    cumulative-hazard call maps the whole sample set, which is the per-path
+    max xi since H is nondecreasing.  G^{mT} is continuous for every pair
+    accepted here (max-tau on a bounded law is rejected), so between the
+    jumps of the empirical F_T the gap is monotone and the sup is read at
+    the sample points, on both sides of each jump.
+    """
+    if statistic not in ("max-xi", "max-tau"):
+        raise ValueError(f'statistic must be "max-xi" or "max-tau", got {statistic!r}')
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
-    maxima = np.concatenate([block.cycle_maxima() for block in simulate_paths(dist, T, n_paths, rng)])
-    return cycle_max_uniform_error(dist, T, maxima, statistic)
+    if statistic == "max-tau" and math.isfinite(dist.support_end()):
+        raise FiniteSupportError("the cycle-max law has bounded support; G^{mT} degenerates")
+    maxima, stragglers = [], 0
+    for block in simulate_paths(dist, T, n_paths, rng):  # keeps each block's maxima only
+        maxima.append(block.cycle_maxima())
+        stragglers += block.stragglers
+    samples = np.concatenate(maxima)
+    if statistic == "max-xi":
+        samples = dist.cumulative_hazard(samples)
+    samples.sort()
+    g = -np.expm1(-samples) if statistic == "max-xi" else np.asarray(dist.cdf(samples), dtype=float)
+    target = np.power(np.clip(g, 0.0, 1.0), dist.rate() * T)
+    upper = np.arange(1, n_paths + 1) / n_paths
+    lower = np.arange(0, n_paths) / n_paths
+    error = float(np.max(np.maximum(np.abs(upper - target), np.abs(lower - target))))
+    return error, stragglers

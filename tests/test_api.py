@@ -88,7 +88,6 @@ SURFACE = {
         "scaled_compensator_sup",
         "scaled_recurrence_sup",
         "path_max_statistic",
-        "cycle_max_uniform_error",
         "rootzen_uniform_error",
     },
     "asymptotics": {"DecayCurve", "SlopeFit", "krt_error_curve", "tv_decay_curve", "fit_slope"},

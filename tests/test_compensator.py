@@ -656,13 +656,16 @@ class TestPathBlocks:
 
     def test_forced_stragglers_stay_exact_paths(self, dist, monkeypatch):
         # a first block of about the expected count leaves about half the rows
-        # short of T; each gets its next blocks after the block's draw
+        # short of T; each gets its next blocks after the block's draw.  Blocks
+        # of 10 rows put stragglers in many blocks before the last.
         monkeypatch.setattr(compensator, "_block_width", lambda gap, mean: max(int(gap / mean), 1))
+        monkeypatch.setattr(compensator, "_PATH_BLOCK_FLOATS", 200)
         T = 20.0 * dist.mean()
         rng = np.random.default_rng(5)
         blocks = list(simulate_paths(dist, T, 200, rng))
         stragglers = sum(b.stragglers for b in blocks)
         assert 20 < stragglers < 180
+        assert len(blocks) == 20 and sum(b.stragglers > 0 for b in blocks[:-1]) > 5
         for block in blocks:
             assert (block.events[np.arange(len(block.events)), block.counts] > T).all()
             paths = [RenewalPath(0.0, row[: k + 1], T) for row, k in zip(block.events, block.counts)]
@@ -687,6 +690,8 @@ class TestPathBlocks:
         block = PathBlock(np.array([[0.5, 2.0, -7.0], [0.5, 1.0, 2.0]]), 1.5, 0)
         assert block.counts.tolist() == [1, 2]
         assert block.spans.tolist() == [[0.5, 1.5, 0.0], [0.5, 0.5, 1.0]]
+        paths = [RenewalPath(0.0, np.array(events), 1.5) for events in ([0.5, 2.0], [0.5, 1.0, 2.0])]
+        _assert_rows_read_as_paths(block, paths, Exponential(1.0), np.array([0.0, 1.0, 1.5]))
         with pytest.raises(ValueError):
             block.spans[0, 0] = 1.0
         with pytest.raises(HorizonExceededError):
