@@ -50,7 +50,7 @@ def draw_interarrivals(dist: Distribution, size, rng: np.random.Generator) -> np
     return dist._interarrival_draw(rng, size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RenewalPath:
     """One realization: strictly increasing positive event times, run past the horizon.
 
@@ -381,7 +381,7 @@ def compensator_at(path: RenewalPath, dist: Distribution, t):
     return full[k] + xi[cycles:].reshape(ts.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycleHazards:
     """xi_i = integrated hazard over cycle i; distribution-free standard exponentials."""
 

@@ -9,15 +9,13 @@ count sigma is then geometric with success probability delta^2, and the
 processes share a renewal at the coupling time L_sigma + U.
 
 The stationary process starts from an exact closed-form draw of its delay.
-Recurrence-time draws use direct segment simulation (exact law): a walk
-over blocks of interarrivals that adds them one by one until the partial sum
-passes t.  The two densities entering the thinning ratio come from the grid
-quadrature of the recurrence-law integral, read off the renewal measure Phi
-the caller passes, as one read of the rows within the verified burn-in
-lattice (probe times past it use the stationary density instead); when both
-probes are within it, the ratio is formed from Python floats.  One trial
-thus makes a handful of numpy calls: the interarrival blocks, one density
-read and one uniform.
+A trial's two recurrence draws are exact walks over interarrivals whose
+first blocks are one generator call.  The two densities of the thinning
+ratio are one read of ``recurrence_density_at``'s rows off the renewal
+measure Phi (past the verified burn-in lattice, the stationary density),
+with the lattice offsets built once per trace.  A trial thus makes one
+interarrival call (plus one per rare continuation block), one
+``dist.density`` call and one uniform.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 from .distributions import Distribution
 from .errors import NoCommonComponentError, NotNormalizedError, ThinningError
 from .grids import Grid, GridMeasure, _check_same_grid, inverse_cdf
-from .renewal import forward_recurrence_density, recurrence_density_at
+from .renewal import _density_rows, forward_recurrence_density, recurrence_density_at
 from .compensator import draw_interarrivals, simulate_path
 
 __all__ = [
@@ -197,7 +195,7 @@ def verify_common_component(
 # the coupling chain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingTrace:
     """One run of the probe chain.
 
@@ -218,33 +216,39 @@ class CouplingTrace:
         return (np.arange(self.sigma + 1) == self.sigma).astype(int)
 
 
-def _draw_recurrence_direct(dist: Distribution, t: float, rng: np.random.Generator) -> float:
-    """One exact draw of B_t by simulating partial sums until they pass t.
-
-    Interarrivals come in blocks of ``int((t - total) / mean * 1.3 + 12)``;
-    the walk adds a block's draws one by one to a running float ``acc``
-    (the sequential order of ``np.cumsum``) and returns ``(total + acc) - t``
-    at the first partial sum past t, so each draw is the same float as a
-    cumsum-and-searchsorted read of the block, without its numpy calls.
-    """
-    mean = dist.mean()
+def _walk(dist: Distribution, t: float, mean: float, buf: list, pos: int, block: int, rng: np.random.Generator):
+    """One exact B_t draw, walking from ``buf[pos]``, and the position past its last
+    block.  The first block is ``block`` floats; each later one, ``int((t - total) /
+    mean * 1.3 + 12)`` floats, is one call appended to ``buf``.  Floats are added one
+    by one, ``np.cumsum``'s order, so each draw is the float a cumsum read gives."""
     total = 0.0
     while True:
-        block = int((t - total) / mean * 1.3 + 12.0)
+        end = pos + block
         acc = 0.0
-        for x in draw_interarrivals(dist, block, rng).tolist():
+        for x in buf[pos:end]:
             acc += x
             if total + acc > t:
-                return (total + acc) - t
+                return (total + acc) - t, end
         total = total + acc
+        pos = end
+        block = int((t - total) / mean * 1.3 + 12.0)
+        buf.extend(draw_interarrivals(dist, block, rng).tolist())
+
+
+def _draw_recurrence_pair(dist: Distribution, t1: float, t2: float, rng: np.random.Generator) -> tuple[float, float]:
+    """Exact draws of B_t1 and B_t2 with both first blocks (n1 and n2 floats) from
+    one call.  beta's continuation blocks read the n2 floats drawn ahead first, so
+    the floats and the generator's end state are those of two walks in a row: numpy's
+    samplers give one variate sequence however the calls are chunked."""
+    mean = dist.mean()
+    n1, n2 = int(t1 / mean * 1.3 + 12.0), int(t2 / mean * 1.3 + 12.0)
+    buf = draw_interarrivals(dist, n1 + n2, rng).tolist()
+    beta, pos = _walk(dist, t1, mean, buf, 0, n1, rng)
+    return beta, _walk(dist, t2, mean, buf, pos, n2, rng)[0]
 
 
 def simulate_coupling(
-    dist: Distribution,
-    params: CouplingParams,
-    rng: np.random.Generator,
-    *,
-    phi: GridMeasure,
+    dist: Distribution, params: CouplingParams, rng: np.random.Generator, *, phi: GridMeasure
 ) -> CouplingTrace:
     """Run the probe chain until the thinning accepts, then couple.
 
@@ -255,23 +259,24 @@ def simulate_coupling(
     """
     b, d, delta = params.b, params.d, params.delta
     inv_b = 1.0 / b
-    # beyond the verified burn-in lattice the recurrence law has stabilized at
-    # the stationary density (checked in find_common_component), so probes at
-    # very large gaps fall back to it instead of outgrowing the grid horizon
+    # past the verified burn-in lattice the recurrence law has stabilized at the stationary
+    # density (checked in find_common_component): probes there read it, not the grid
     t_stab = min(params.d + 20.0 * dist.mean(), phi.grid.horizon)
+    index_of = phi.grid.index_of
+    offsets = phi.grid.step * np.arange(index_of(t_stab) + 1)
 
     eta, eta_hat = 0.0, dist.sample_stationary_delay(rng)
     etas, betas = [], []
     for _ in range(_MAX_STEPS):
         L = max(eta, eta_hat) + d
         t1, t2 = L - eta, L - eta_hat
-        beta = _draw_recurrence_direct(dist, t1, rng)
-        beta_hat = _draw_recurrence_direct(dist, t2, rng)
+        beta, beta_hat = _draw_recurrence_pair(dist, t1, t2, rng)
         etas.append((eta, eta_hat))
 
+        accept = False
         if beta < b and beta_hat < b:
             if t1 <= t_stab and t2 <= t_stab:
-                p0, p1 = recurrence_density_at(dist, (t1, t2), (beta, beta_hat), phi=phi).tolist()
+                p0, p1 = _density_rows(dist, [index_of(t1), index_of(t2)], [beta, beta_hat], phi, offsets)
             else:
                 ts, xs = np.array((t1, t2)), np.array((beta, beta_hat))
                 near = ts <= t_stab
@@ -286,8 +291,6 @@ def simulate_coupling(
                     "the component parameters overstate delta"
                 )
             accept = rng.random() < ratio
-        else:
-            accept = False
 
         if accept:
             shared = b * rng.random()

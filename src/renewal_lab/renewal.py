@@ -236,42 +236,39 @@ def forward_recurrence_density(
     return GridFunction(x_grid, np.maximum(atom0 * dens + conv, 0.0))
 
 
-def recurrence_density_at(
-    dist: Distribution, t: np.ndarray, x: np.ndarray, *, phi: GridMeasure
-) -> np.ndarray:
+def recurrence_density_at(dist: Distribution, t: np.ndarray, x: np.ndarray, *, phi: GridMeasure) -> np.ndarray:
     """Pointwise densities of B_t at off-grid x: the same integral,
-    f(t + x) + int_0^t f(t + x - u) Phi(du), one dot per (t, x) row.
-
-    ``t`` and ``x`` are equal-length 1-D arrays (one density per row).  Each
-    t snaps to its nearest node; Phi's atom at 0 is added to the first of
-    the row's ``trapezoid_weights``, and the lattices of all rows are read
-    with one ``dist.density`` call.  The snap runs on Python floats (the
-    probe chain reads two rows, where array ops cost more than they save),
-    and every row slices its lattice offsets from one ``h * arange`` up to
-    the largest snapped node.
-    """
+    f(t + x) + int_0^t f(t + x - u) Phi(du), one dot per (t, x) row of the
+    equal-length 1-D arrays ``t`` and ``x``; each t snaps to its nearest node."""
     ts = np.asarray(t, dtype=float)
     xs = np.asarray(x, dtype=float)
     if ts.ndim != 1 or ts.shape != xs.shape:
         raise ValueError(f"t and x must be equal-length 1-D arrays, got shapes {ts.shape} and {xs.shape}")
     if ts.size == 0:
         return np.empty(0)
-    h = phi.grid.step
     kts = [phi.grid.index_of(t_row) for t_row in ts.tolist()]
-    kmax = max(kts)
-    offsets = h * np.arange(kmax + 1)
+    offsets = phi.grid.step * np.arange(max(kts) + 1)
+    return np.array(_density_rows(dist, kts, xs.tolist(), phi, offsets))
+
+
+def _density_rows(dist: Distribution, kts: list, xs: list, phi: GridMeasure, offsets: np.ndarray) -> list:
+    """``recurrence_density_at``'s rows at the snapped nodes ``kts``, as floats.
+    Lattice offsets are sliced from ``offsets = h * arange(k + 1)``, k at least
+    the largest node; all lattices are one ``dist.density`` call, and each row
+    one dot with its ``trapezoid_weights``, Phi's atom added to the first."""
+    h = phi.grid.step
     lattice = np.empty(sum(kts) + len(kts))
     start = 0
-    for kt, x_row in zip(kts, xs.tolist()):
+    for kt, x_row in zip(kts, xs):
         np.subtract(kt * h + x_row, offsets[: kt + 1], out=lattice[start : start + kt + 1])
         start += kt + 1
     values = np.asarray(dist.density(lattice), dtype=float)
-    out = np.empty(len(kts))
+    out = []
     start = 0
-    for row, kt in enumerate(kts):
+    for kt in kts:
         w = phi.trapezoid_weights(kt)
         w[0] += phi.atom0
-        out[row] = np.dot(w, values[start : start + kt + 1])
+        out.append(float(np.dot(w, values[start : start + kt + 1])))
         start += kt + 1
     return out
 

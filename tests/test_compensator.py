@@ -678,6 +678,14 @@ class TestPathBlocks:
         assert block.stragglers == 0
         _assert_rows_read_as_paths(block, paths, dist, np.array([0.0, 7.0, 20.0]) * dist.mean())
 
+    def test_records_compare_by_identity(self):
+        # array fields: a field-wise == would raise, so equality is identity
+        d = Gamma(2.0, 1.0)
+        events = np.array([0.5, 2.0, 5.0])
+        paths = [RenewalPath(0.0, events, 3.0) for _ in range(2)]
+        for a, b in (paths, [cycle_hazards(p, d) for p in paths], [PathBlock.from_paths([p]) for p in paths]):
+            assert a == a and a != b and len({a, b, a}) == 2
+
     def test_block_validation(self):
         with pytest.raises(ValueError, match="one or more rows"):
             PathBlock(np.array([1.0, 2.0]), 1.5, 0)

@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import ALL_KINDS
 from renewal_lab import (
     Exponential,
     Gamma,
@@ -17,6 +19,7 @@ from renewal_lab import (
     find_common_component,
     forward_recurrence_cdf,
     maximal_coupling_sample,
+    recurrence_density_at,
     renewal_measure,
     simulate_coupling,
     tv_distance,
@@ -143,9 +146,10 @@ class TestCommonComponent:
 
 
 def _draw_recurrence_cumsum(dist, t, rng):
-    """Exact B_t draw read off the cumsum of each block with searchsorted:
-    the oracle for the walk of ``coupling._draw_recurrence_direct``, which
-    must return the same float and leave the stream in the same state."""
+    """Exact B_t draw read off the cumsum of each block with searchsorted,
+    every block drawn when the walk reaches it: the oracle for the walks of
+    ``coupling._draw_recurrence_pair``, which must return the same floats
+    and leave the stream in the same state as two of these in a row."""
     mean = dist.mean()
     total = 0.0
     while True:
@@ -157,52 +161,155 @@ def _draw_recurrence_cumsum(dist, t, rng):
         total = float(cs[-1])
 
 
+def _oracle_pair(dist, t1, t2, rng):
+    return _draw_recurrence_cumsum(dist, t1, rng), _draw_recurrence_cumsum(dist, t2, rng)
+
+
+def _oracle_density_rows(dist, kts, xs, phi, offsets):
+    """The chain's density read as one ``recurrence_density_at`` call at the
+    times of the snapped nodes."""
+    return recurrence_density_at(dist, phi.grid.step * np.array(kts), np.array(xs), phi=phi).tolist()
+
+
+def _oracle_chain(monkeypatch):
+    """Make ``simulate_coupling`` the test-side chain: sequential oracle walks
+    and the public density read."""
+    monkeypatch.setattr(coupling, "_draw_recurrence_pair", _oracle_pair)
+    monkeypatch.setattr(coupling, "_density_rows", _oracle_density_rows)
+
+
+def _record_draws(monkeypatch, scale=1.0):
+    """Sizes of the ``draw_interarrivals`` calls the coupling module makes
+    from now on; ``scale`` multiplies every draw (elementwise, so the
+    variates do not depend on how the calls are chunked)."""
+    draw = coupling.draw_interarrivals
+    sizes = []
+
+    def recorded(d, size, rng):
+        sizes.append(size)
+        return draw(d, size, rng) * scale
+
+    monkeypatch.setattr(coupling, "draw_interarrivals", recorded)
+    return sizes
+
+
+# a Lomax whose first interarrival blocks often fall short of the probe time,
+# so the chain's continuation blocks run (at tail 3.5 they almost never do)
+HEAVY_LOMAX = ShiftedPareto(1.5, 1.0)
+
+
+@pytest.fixture(scope="module", params=[*ALL_KINDS, HEAVY_LOMAX], ids=lambda d: repr(d))
+def kind_setup(request):
+    d = request.param
+    phi = renewal_measure(d, grid_for(d))
+    return d, phi, find_common_component(d, phi=phi)
+
+
 class TestRecurrenceDraw:
     T_MEANS = (0.0, "step", 0.3, 1.0, 5.0, 20.0)
-    SEEDS = (0, 1, 2)
 
-    def assert_same_draws(self, dist):
+    def assert_same_draws(self, dist, seeds, sizes):
+        """The pair draw against two sequential oracle walks at every pair of
+        times, ``sizes`` recording the draw calls; returns the continuation
+        blocks of the first walks and the blocks of all oracle walks."""
         h = dist.mean() / 200.0
-        for m in self.T_MEANS:
-            t = h if m == "step" else m * dist.mean()
-            for seed in self.SEEDS:
-                rng_walk, rng_cumsum = np.random.default_rng(seed), np.random.default_rng(seed)
-                walk = coupling._draw_recurrence_direct(dist, t, rng_walk)
-                oracle = _draw_recurrence_cumsum(dist, t, rng_cumsum)
-                assert isinstance(walk, float) and walk == oracle, (t, seed)
-                assert rng_walk.bit_generator.state == rng_cumsum.bit_generator.state
+        ts = [h if m == "step" else m * dist.mean() for m in self.T_MEANS]
+        continued = blocks = 0
+        for t1, t2 in itertools.product(ts, ts):
+            for seed in seeds:
+                rng_pair, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+                pair = coupling._draw_recurrence_pair(dist, t1, t2, rng_pair)
+                start = len(sizes)
+                beta = _draw_recurrence_cumsum(dist, t1, rng_oracle)
+                continued += len(sizes) - start - 1
+                oracle = (beta, _draw_recurrence_cumsum(dist, t2, rng_oracle))
+                blocks += len(sizes) - start
+                assert all(type(x) is float for x in pair) and pair == oracle, (t1, t2, seed)
+                assert rng_pair.bit_generator.state == rng_oracle.bit_generator.state
+        return continued, blocks
 
-    def test_walk_matches_cumsum(self, dist):
-        self.assert_same_draws(dist)
+    def test_pair_matches_two_cumsum_walks(self, dist, monkeypatch):
+        self.assert_same_draws(dist, range(3), _record_draws(monkeypatch))
 
-    def test_walk_matches_cumsum_across_blocks(self, dist, monkeypatch):
-        # at most 2 draws per block: every walk past two interarrivals
-        # carries its partial sum into later blocks
-        draw = coupling.draw_interarrivals
-        blocks = []
+    def test_continuations_read_the_floats_drawn_ahead(self, monkeypatch):
+        # a Lomax so heavy-tailed that first blocks often fall short of t:
+        # beta's continuation blocks read the floats drawn for beta_hat first
+        continued, _ = self.assert_same_draws(ShiftedPareto(1.05, 1.0), range(10), _record_draws(monkeypatch))
+        assert continued >= 50
 
-        def two_at_most(d, size, rng):
-            blocks.append(size)
-            return draw(d, min(size, 2), rng)
+    def test_walks_match_cumsum_across_blocks(self, dist, monkeypatch):
+        # interarrivals scaled down 20-fold: a block covers a twentieth of the
+        # time its size is set for, so walks past a mean carry their partial
+        # sums across many blocks, in both walks of the pair
+        seeds = range(2)
+        continued, blocks = self.assert_same_draws(dist, seeds, _record_draws(monkeypatch, 0.05))
+        walks = 2 * len(self.T_MEANS) ** 2 * len(seeds)
+        assert blocks > 2 * walks and continued > walks
 
-        monkeypatch.setattr(coupling, "draw_interarrivals", two_at_most)
-        self.assert_same_draws(dist)
-        draws = 2 * len(self.T_MEANS) * len(self.SEEDS)
-        assert len(blocks) > 2 * draws
+    def test_traces_match_the_oracle_chain(self, kind_setup, monkeypatch):
+        # every trace field, every density read and the generator's end state
+        d, phi, params = kind_setup
+        density_rows = coupling._density_rows
+        reads = []
 
-    @pytest.mark.parametrize("setup", ["gamma_setup", "pareto_setup"])
-    def test_traces_match_cumsum_draw(self, setup, request, monkeypatch):
-        d, phi, params = request.getfixturevalue(setup)
-        shipped = [simulate_coupling(d, params, np.random.default_rng(seed), phi=phi) for seed in range(100)]
-        monkeypatch.setattr(coupling, "_draw_recurrence_direct", _draw_recurrence_cumsum)
-        oracle = [simulate_coupling(d, params, np.random.default_rng(seed), phi=phi) for seed in range(100)]
-        for a, b in zip(shipped, oracle):
+        def recorded(*args):
+            reads.append((args, density_rows(*args)))
+            return reads[-1][1]
+
+        monkeypatch.setattr(coupling, "_density_rows", recorded)
+        rngs = [np.random.default_rng(seed) for seed in range(100)]
+        shipped = [simulate_coupling(d, params, rng, phi=phi) for rng in rngs]
+        assert len(reads) > 100
+        for args, values in reads:
+            assert values == _oracle_density_rows(*args)
+        _oracle_chain(monkeypatch)
+        oracle_rngs = [np.random.default_rng(seed) for seed in range(100)]
+        oracle = [simulate_coupling(d, params, rng, phi=phi) for rng in oracle_rngs]
+        for a, b, rng_a, rng_b in zip(shipped, oracle, rngs, oracle_rngs):
             for field in dataclasses.fields(CouplingTrace):
                 va, vb = getattr(a, field.name), getattr(b, field.name)
                 if isinstance(va, np.ndarray):
                     assert np.array_equal(va, vb), field.name
                 else:
                     assert va == vb, field.name
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_one_draw_call_per_trial_and_one_density_call_per_read(self, kind_setup, monkeypatch):
+        # draw calls: one per trial plus one per continuation block, which the
+        # oracle chain's walks count as the blocks past two per trial; density
+        # calls: one per thinning read, over the lattices of its rows
+        d, phi, params = kind_setup
+        sizes = _record_draws(monkeypatch)
+        lattices = []
+        density = type(d).density
+
+        def recorded_density(self, x):
+            lattices.append(len(x))
+            return density(self, x)
+
+        monkeypatch.setattr(type(d), "density", recorded_density)
+        t_stab = min(params.d + 20.0 * d.mean(), phi.grid.horizon)
+        continuations = 0
+        for seed in range(100):
+            del sizes[:], lattices[:]
+            tr = simulate_coupling(d, params, np.random.default_rng(seed), phi=phi)
+            calls, trials = len(sizes), tr.sigma + 1
+            reads = []
+            for k in range(trials):
+                L = max(tr.eta[k]) + params.d
+                xs = tr.accepted_draw if k == tr.sigma else tuple(tr.beta[k])
+                near = [phi.grid.index_of(L - e) + 1 for e in tr.eta[k] if L - e <= t_stab]
+                if max(xs) < params.b and near:
+                    reads.append(sum(near))
+            assert lattices == reads
+            with monkeypatch.context() as m:
+                _oracle_chain(m)
+                del sizes[:]
+                simulate_coupling(d, params, np.random.default_rng(seed), phi=phi)
+            continuations += len(sizes) - 2 * trials
+            assert calls == trials + len(sizes) - 2 * trials
+        if d is HEAVY_LOMAX:
+            assert continuations >= 50
 
 
 class TestCouplingChain:
@@ -282,6 +389,13 @@ class TestCouplingChain:
             pit.append(np.interp(beta, cdf.grid.nodes(), cdf.values, right=1.0))
         res = stats.kstest(np.asarray(pit), "uniform")
         assert res.statistic < 1.36 / math.sqrt(len(pit)) + 2.5 * phi.grid.step
+
+    def test_traces_compare_by_identity(self, gamma_setup):
+        # array fields: a field-wise == would raise, so equality is identity
+        d, phi, params = gamma_setup
+        a, b = (simulate_coupling(d, params, np.random.default_rng(3), phi=phi) for _ in range(2))
+        assert np.array_equal(a.eta, b.eta) and len(a.eta) > 1
+        assert a == a and a != b and len({a, b, a}) == 2
 
     def test_post_coupling_sequences_identical(self, gamma_setup, rng):
         d, phi, params = gamma_setup
