@@ -36,7 +36,7 @@ from .acceptance import (
     run_acceptance,
 )
 from .asymptotics import krt_error_curve
-from .compensator import _PATH_BLOCK_FLOATS, PathBlock, rootzen_uniform_error, simulate_path
+from .compensator import _rootzen_error, simulate_paths
 from .coupling import find_common_component, simulate_coupling
 from .distributions import _config_number, distribution_from_config
 from .errors import ConfigError, FiniteSupportError, HorizonExceededError, RenewalLabError
@@ -423,21 +423,18 @@ def compensator(runner: Runner, cfg: dict):
     dump_paths = cfg.get("dump_paths", False)
     if not isinstance(dump_paths, bool):
         raise ConfigError("dump_paths", f"expected true or false, got {dump_paths!r}")
-    horizon = max(mults) * dist.mean()
-    paths = [simulate_path(dist, horizon, "zero", _stream(runner.seed, 0, i)) for i in range(n_paths)]
+    ts = np.asarray(mults) * dist.mean()
+    blocks = list(simulate_paths(dist, max(mults) * dist.mean(), n_paths, _stream(runner.seed, 0, 0)))
+    # a block holds one or more rows, so the first n blocks hold the first n rows
     if dump_paths:
-        rows = ((i, t) for i, path in enumerate(paths[:50]) for t in path.events)
-        runner.write_rows("paths.csv", "path,event_time", rows)
-
-    shown = PathBlock.from_paths(paths[:8]).residuals(dist, np.asarray(mults) * dist.mean())
+        rows = [row[: k + 1] for block in blocks[:50] for row, k in zip(block.events, block.counts)]
+        runner.write_rows("paths.csv", "path,event_time", ((i, t) for i, row in enumerate(rows[:50]) for t in row))
+    shown = np.concatenate([block.residuals(dist, ts) for block in blocks[:8]])[:8]
     runner.write_rows(
         "martingale.csv",
         "t," + ",".join(f"path{i}" for i in range(len(shown))),
-        ((m * dist.mean(), *column) for m, column in zip(mults, shown.T)),
+        ((t, *column) for t, column in zip(ts, shown.T)),
     )
-    # blocks of simulate_paths' size, so the reads hold a bounded copy of the paths
-    per_block = max(1, _PATH_BLOCK_FLOATS // max(len(path.events) for path in paths))
-    blocks = (PathBlock.from_paths(paths[i : i + per_block]) for i in range(0, n_paths, per_block))
     for result in check_compensator(dist, blocks, mults):
         runner.check(result)
 
@@ -491,15 +488,13 @@ def rootzen(runner: Runner, cfg: dict):
     if len(t_list) < 2 or min(t_list) <= 0.0:
         raise ConfigError("T_list", f"expected two or more positive horizons, got {t_list}")
     n_paths = _read(cfg, "n_paths", 2000)
-    errs = []
     try:
-        for j, T in enumerate(t_list):
-            errs.append(rootzen_uniform_error(dist, T, n_paths, statistic, _stream(runner.seed, 0, j)))
+        pairs = [_rootzen_error(dist, T, n_paths, statistic, _stream(runner.seed, 0, j)) for j, T in enumerate(t_list)]
     except FiniteSupportError as exc:
         # raised by the first horizon's call, before any path is drawn
         raise ConfigError("statistic", f"{statistic!r} on a {dist.kind} law: {exc}") from None
-    runner.write_rows("rootzen.csv", "T,sup_error", zip(t_list, errs))
-    runner.check(check_rootzen_shrinks(dist, t_list, errs, n_paths))
+    runner.write_rows("rootzen.csv", "T,sup_error", ((T, err) for T, (err, _) in zip(t_list, pairs)))
+    runner.check(check_rootzen_shrinks(dist, t_list, pairs, n_paths))
 
 
 @_subcommand(click.option("--criteria", default="", help="comma-separated subset, e.g. 1,2,5"), name="all")

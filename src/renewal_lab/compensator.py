@@ -1,9 +1,10 @@
 """Renewal-path simulation, recurrence times, the hazard-integral compensator,
 cycle variables, and empirical checks of the scaled-supremum limits.
 
-A path is one ``RenewalPath``; many zero-delayed paths to one horizon are
-simulated and read as ``PathBlock`` rows, which equal the one-path reads
-bit for bit.
+A path is one ``RenewalPath``.  Many zero-delayed paths to one horizon come
+from ``simulate_paths`` alone, as the rows of ``PathBlock``s, whose readers
+equal the one-path readers bit for bit; ``PathBlock.residuals`` is the one
+array read of N(t) - 1 - Lambda(t), and ``compensator_at`` the scalar one.
 
 Counting convention: N(t) = sum_{n>=0} 1{S_n <= t} counts the renewal at the
 origin of a zero-delayed path, so the centered martingale reads
@@ -194,13 +195,6 @@ class PathBlock:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "spans", spans)
 
-    @classmethod
-    def from_paths(cls, paths) -> PathBlock:
-        """One block of zero-delayed paths that share a horizon, a row per path."""
-        if not paths or not all(p.is_pure and p.horizon == paths[0].horizon for p in paths):
-            raise ValueError("a path block needs one or more zero-delayed paths with one horizon")
-        return cls(_stacked([p.events for p in paths]), paths[0].horizon, 0)
-
     def _ages(self, ts, k):
         """A_t of every row at each t, given k = events in (0, t]: ``_age``
         row by row, reading column 0 where it reads column -1 (k = 0, where
@@ -285,7 +279,8 @@ def _path_blocks(dist: Distribution, T: float, n: int, rng) -> Iterator[PathBloc
 
 
 def _stacked(rows) -> np.ndarray:
-    """Rows of event times as one 2-D array, each padded with its last event."""
+    """The rows of a block whose stragglers were continued, as one 2-D array,
+    each row padded with its last event."""
     out = np.empty((len(rows), max(len(row) for row in rows)))
     for line, row in zip(out, rows):
         line[: len(row)] = row
@@ -332,10 +327,10 @@ def sample_forward_recurrence(dist: Distribution, t: float, n: int, rng: np.rand
     return out
 
 
-def _age(path: RenewalPath, t, k):
+def _age(path: RenewalPath, t: float, k: int):
     """A_t = t minus the last renewal at or before t (the origin if none), given
-    k = path.index_of(t); t and k both scalars or both arrays.  The factor
-    (k >= 1) zeroes the wrapped read events[-1] where no event precedes t."""
+    k = path.index_of(t).  The factor (k >= 1) zeroes the wrapped read
+    events[-1] where no event precedes t."""
     return t - path.events[k - 1] * (k >= 1)
 
 
@@ -349,36 +344,22 @@ def recurrence_times(path: RenewalPath, t: float) -> tuple[float, float]:
     return float(_age(path, t, k)), float(path.events[k]) - t
 
 
-def compensator_at(path: RenewalPath, dist: Distribution, t):
+def compensator_at(path: RenewalPath, dist: Distribution, t: float) -> float:
     """Lambda(t) = sum of full-cycle hazard integrals plus the running partial.
 
-    ``t`` is a scalar (the result is a float) or an array; either way a read
-    is one cumulative-hazard call.  For a scalar t it covers the k cycles
-    completed by t and the running partial, and the last entry of their
-    cumsum is the sum.  For an array it covers the cycles completed by
-    max(t) and the running partial of every t; a cumsum over the cycles and
-    a searchsorted locating each t assemble the sums.  Both add the cycle
-    hazards in the same sequential order, so a scalar read equals the
-    matching element of an array read.  Requires a zero-delayed path (the
-    hazard clock starts at the origin).
+    One cumulative-hazard call covers the k cycles completed by t and the
+    running partial, and the last entry of their cumsum is the sum: the
+    sequential adds of ``PathBlock.residuals``, the array read.  Requires a
+    zero-delayed path (the hazard clock starts at the origin).
     """
     if not path.is_pure:
         raise ValueError("the compensator decomposition assumes a zero-delayed path")
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim == 0:
-        t = float(ts)
-        k = path.index_of(t)
-        spans = np.empty(k + 1)
-        spans[:k] = path.spans[:k]
-        spans[k] = _age(path, t, k)
-        return float(dist.cumulative_hazard(spans).cumsum()[-1])
-    path.index_of(ts.min(initial=0.0))  # a NaN anywhere reaches both ends
-    cycles = path.index_of(ts.max(initial=0.0))
-    k = np.searchsorted(path.events, ts, side="right")
-    xi = dist.cumulative_hazard(np.concatenate((path.spans[:cycles], np.ravel(_age(path, ts, k)))))
-    full = np.zeros(cycles + 1)
-    np.cumsum(xi[:cycles], out=full[1:])
-    return full[k] + xi[cycles:].reshape(ts.shape)
+    t = float(t)
+    k = path.index_of(t)
+    spans = np.empty(k + 1)
+    spans[:k] = path.spans[:k]
+    spans[k] = _age(path, t, k)
+    return float(dist.cumulative_hazard(spans).cumsum()[-1])
 
 
 @dataclass(frozen=True, eq=False)

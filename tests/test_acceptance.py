@@ -124,7 +124,7 @@ def _check_compensator_loop(dist, paths, mults):
     ts = np.asarray(mults, dtype=float) * dist.mean()
     columns, xi_parts, xi_count = [], [], 0
     for path in paths:
-        columns.append([path.count(t) - 1 - float(v) for t, v in zip(ts.tolist(), compensator_at(path, dist, ts))])
+        columns.append([path.count(t) - 1 - compensator_at(path, dist, t) for t in ts.tolist()])
         if xi_count < 12_000:
             xi_parts.append(cycle_hazards(path, dist).xi)
             xi_count += len(xi_parts[-1])

@@ -5,13 +5,18 @@ import pytest
 from click.testing import CliRunner
 
 from renewal_lab import (
+    Exponential,
     Gamma,
     Grid,
     GridFunction,
     GridMeasure,
+    RenewalPath,
+    compensator,
+    compensator_at,
     find_common_component,
     renewal_measure,
     simulate_coupling,
+    simulate_paths,
 )
 from renewal_lab.acceptance import CRITERIA, DEFAULT_SEED, _stream
 from renewal_lab.cli import Runner, _measure_header, main
@@ -428,6 +433,10 @@ class TestSubcommands:
         cfg = write_config(tmp_path, "c.json", payload)
         res = runner.invoke(main, ["rootzen", "--config", cfg, "--out", str(tmp_path / "o"), "--strict"])
         assert res.exit_code == 0, res.output
+        (check,) = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+        # the (error, stragglers) pair of each horizon, as criterion 12 reports it
+        assert set(check["measured"]) == {"err_T20", "err_T120", "stragglers"}
+        assert check["measured"]["stragglers"] == [0, 0]
 
     def test_compensator_checks(self, runner, tmp_path):
         payload = {
@@ -442,6 +451,34 @@ class TestSubcommands:
         checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
         (hazards,) = [c for c in checks if c["name"].startswith("10. cycle hazards")]
         assert f"over {hazards['measured']['n_cycles']} pooled cycles" in hazards["tolerance"]
+
+    @pytest.mark.parametrize("n_paths, block_floats", [(60, None), (60, 150), (5, None), (5, 150)],
+                             ids=["one-block", "blocks-of-two-rows", "fewer-than-8-paths",
+                                  "fewer-than-8-paths-in-blocks-of-two-rows"])
+    def test_compensator_artifacts_are_the_first_shared_paths(self, runner, tmp_path, monkeypatch, n_paths,
+                                                              block_floats):
+        # paths.csv and martingale.csv show the first rows of the one
+        # simulate_paths call on stream (seed, 0, 0), read back path by path;
+        # at 150 floats a block holds 2 rows, so those rows span blocks
+        if block_floats:
+            monkeypatch.setattr(compensator, "_PATH_BLOCK_FLOATS", block_floats)
+        dist, T = Exponential(1.0), 10.0
+        payload = {**BASE, "n_paths": n_paths, "t_means": [5.0, 10.0], "dump_paths": True}
+        cfg = write_config(tmp_path, "c.json", payload)
+        res = runner.invoke(main, ["compensator", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        blocks = list(simulate_paths(dist, T, n_paths, _stream(BASE["seed"], 0, 0)))
+        assert len(blocks[0].events) == (2 if block_floats else n_paths)
+        paths = [RenewalPath(0.0, row[: k + 1], T) for b in blocks for row, k in zip(b.events, b.counts)]
+        dumped = [line.split(",") for line in (tmp_path / "o" / "paths.csv").read_text().splitlines()[1:]]
+        assert [(int(i), float(t)) for i, t in dumped] == [
+            (i, t) for i, path in enumerate(paths[:50]) for t in path.events.tolist()
+        ]
+        header, *lines = (tmp_path / "o" / "martingale.csv").read_text().splitlines()
+        assert header == "t," + ",".join(f"path{i}" for i in range(min(n_paths, 8)))
+        table = [[float(v) for v in line.split(",")] for line in lines]
+        assert table == [[t, *(path.count(t) - 1 - compensator_at(path, dist, t) for path in paths[:8])]
+                         for t in (5.0, 10.0)]
 
     def test_phi_shares_criterion_1_check(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**BASE, "grid": {"h": 0.005, "horizon": 100.0}})

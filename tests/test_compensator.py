@@ -239,24 +239,25 @@ class TestCompensator:
             assert jump == pytest.approx(xi[i - 1], abs=1e-10)
 
     def test_matches_per_cycle_sum_oracle(self, dist, rng):
-        # scalar calls and one array call against the per-t summed oracle
+        # scalar calls against the per-t summed oracle
         path = simulate_path(dist, 30.0 * dist.mean(), "zero", rng)
         ts = np.concatenate((np.linspace(0.0, path.horizon, 97), path.events[:5]))
         direct = np.array([_compensator_direct(path, dist, t) for t in ts])
         scalar = [compensator_at(path, dist, float(t)) for t in ts]
         assert all(type(v) is float for v in scalar)
-        lam = compensator_at(path, dist, ts)
-        assert isinstance(lam, np.ndarray) and lam.shape == ts.shape
-        for fast in (np.array(scalar), lam):
-            assert np.all(np.abs(fast - direct) <= 1e-12 * np.abs(direct))
+        assert np.all(np.abs(np.array(scalar) - direct) <= 1e-12 * np.abs(direct))
 
     @pytest.mark.parametrize("t", [math.nan, -0.5, 10.5])
     def test_rejects_t_outside_horizon(self, rng, t):
         path = simulate_path(Exponential(1.0), 10.0, "zero", rng)
         with pytest.raises(HorizonExceededError, match="t = "):
             compensator_at(path, Exponential(1.0), t)
-        with pytest.raises(HorizonExceededError, match="t = "):
-            compensator_at(path, Exponential(1.0), np.array([1.0, t]))
+
+    def test_reads_one_time_only(self, rng):
+        # many times are read as PathBlock.residuals; an array here fails loudly
+        path = simulate_path(Exponential(1.0), 10.0, "zero", rng)
+        with pytest.raises(TypeError):
+            compensator_at(path, Exponential(1.0), np.array([1.0, 5.0]))
 
 
 class TestBadInput:
@@ -308,7 +309,6 @@ _PATH_READERS = {
     "count": lambda path, dist, t: path.count(t),
     "recurrence_times": lambda path, dist, t: recurrence_times(path, t),
     "compensator_at": lambda path, dist, t: compensator_at(path, dist, t),
-    "compensator_at_array": lambda path, dist, t: compensator_at(path, dist, np.array([0.5, t, 1.0])),
     "scaled_compensator_sup": lambda path, dist, t: scaled_compensator_sup(path, dist, t, 0.5),
     "scaled_recurrence_sup": lambda path, dist, t: scaled_recurrence_sup(path, t, 2.0),
     "path_max_statistic": lambda path, dist, t: path_max_statistic(path, dist, t, "max-xi"),
@@ -424,16 +424,12 @@ def _recurrence_times_oracle(path, t):
 
 
 def _compensator_at_oracle(path, dist, t):
-    ts = np.asarray(t, dtype=float)
-    scalar = ts.ndim == 0
-    k = np.searchsorted(path.events, ts, side="right")
-    cycles = int(k) if scalar else int(k.max(initial=0))
-    renewals = np.concatenate(([0.0], path.events[:cycles]))
-    xi = dist.cumulative_hazard(np.concatenate((np.diff(renewals), np.ravel(ts - renewals[k]))))
-    full = np.zeros(cycles + 1)
-    np.cumsum(xi[:cycles], out=full[1:])
-    out = full[k] + xi[cycles:].reshape(ts.shape)
-    return float(out) if scalar else out
+    k = int(np.searchsorted(path.events, t, side="right"))
+    renewals = np.concatenate(([0.0], path.events[:k]))
+    xi = dist.cumulative_hazard(np.append(np.diff(renewals), t - renewals[k]))
+    full = np.zeros(k + 1)
+    np.cumsum(xi[:k], out=full[1:])
+    return float(full[k] + xi[k])
 
 
 def _cycle_hazards_oracle(path, dist):
@@ -512,7 +508,6 @@ class TestSpanReaders:
                             path, dist, t, 0.5
                         )
             if path.is_pure:
-                assert np.array_equal(compensator_at(path, dist, ts), _compensator_at_oracle(path, dist, ts))
                 assert np.array_equal(cycle_hazards(path, dist).xi, _cycle_hazards_oracle(path, dist))
 
     @pytest.mark.parametrize("delay", [0.0, 1.5])
@@ -539,17 +534,19 @@ def _compensator_at_scalar_oracle(path, dist, t):
 
 class TestOneHazardCallReads:
     def test_scalar_compensator_matches_oracle_and_array_read(self, dist, rng):
+        # the array read is PathBlock.residuals, N(t) - 1 - Lambda(t) of each row
         H = 30.0 * dist.mean()
-        for _ in range(6):
-            path = simulate_path(dist, H, "zero", rng)
+        (block,) = simulate_paths(dist, H, 6, rng)
+        for row, k in zip(block.events, block.counts):
+            path = RenewalPath(0.0, row[: k + 1], H)
             at_events = path.events[path.events <= H]
             between = 0.5 * (np.concatenate(([0.0], at_events[:-1])) + at_events)
             ts = np.concatenate(([0.0, H], at_events, between, rng.uniform(0.0, H, 16)))
-            lam = compensator_at(path, dist, ts)
-            for t, from_array in zip(ts.tolist(), lam.tolist()):
+            (from_array,) = PathBlock(row[None, : k + 1], H, 0).residuals(dist, ts)
+            for t, residual in zip(ts.tolist(), from_array.tolist()):
                 got = compensator_at(path, dist, t)
                 assert got == _compensator_at_scalar_oracle(path, dist, t)
-                assert got == from_array
+                assert path.count(t) - 1 - got == residual
 
     def test_one_hazard_call_per_read(self, monkeypatch):
         d = Gamma(2.0, 1.0)
@@ -564,8 +561,7 @@ class TestOneHazardCallReads:
         path = simulate_path(d, 20.0, "zero", np.random.default_rng(4))
         k = path.index_of(15.0)
         compensator_at(path, d, 15.0)
-        compensator_at(path, d, np.array([5.0, 15.0]))
-        assert shapes == [(k + 1,), (k + 2,)]
+        assert shapes == [(k + 1,)]
         shapes.clear()
         rootzen_uniform_error(d, 20.0, 50, "max-xi", np.random.default_rng(4))
         rootzen_uniform_error(ShiftedPareto(3.5, 1.0), 20.0, 50, "max-tau", np.random.default_rng(4))
@@ -610,7 +606,7 @@ def _per_path_reads(path, dist, ts):
     """The per-path readers of one zero-delayed path: N(t) - 1 - Lambda(t) at
     ``ts``, the cycle hazards, (sup A, sup B) and max tau over [0, horizon]."""
     T = path.horizon
-    residuals = np.array([path.count(t) for t in ts]) - 1 - compensator_at(path, dist, ts)
+    residuals = np.array([path.count(t) - 1 - compensator_at(path, dist, t) for t in ts])
     return (residuals, cycle_hazards(path, dist).xi, compensator._span_sups(path, T),
             path_max_statistic(path, dist, T, "max-tau"), path_max_statistic(path, dist, T, "max-xi"))
 
@@ -671,19 +667,13 @@ class TestPathBlocks:
             paths = [RenewalPath(0.0, row[: k + 1], T) for row, k in zip(block.events, block.counts)]
             _assert_rows_read_as_paths(block, paths, dist, np.array([2.0, 10.0, 20.0]) * dist.mean())
 
-    def test_from_paths_reads_each_path(self, dist, rng):
-        T = 20.0 * dist.mean()
-        paths = [simulate_path(dist, T, "zero", rng) for _ in range(40)]
-        block = PathBlock.from_paths(paths)
-        assert block.stragglers == 0
-        _assert_rows_read_as_paths(block, paths, dist, np.array([0.0, 7.0, 20.0]) * dist.mean())
-
     def test_records_compare_by_identity(self):
         # array fields: a field-wise == would raise, so equality is identity
         d = Gamma(2.0, 1.0)
         events = np.array([0.5, 2.0, 5.0])
         paths = [RenewalPath(0.0, events, 3.0) for _ in range(2)]
-        for a, b in (paths, [cycle_hazards(p, d) for p in paths], [PathBlock.from_paths([p]) for p in paths]):
+        blocks = [next(simulate_paths(d, 3.0, 1, np.random.default_rng(0))) for _ in range(2)]
+        for a, b in (paths, [cycle_hazards(p, d) for p in paths], blocks):
             assert a == a and a != b and len({a, b, a}) == 2
 
     def test_block_validation(self):
@@ -704,8 +694,16 @@ class TestPathBlocks:
             block.spans[0, 0] = 1.0
         with pytest.raises(HorizonExceededError):
             block.residuals(Exponential(1.0), [1.0, 1.6])
-        with pytest.raises(ValueError, match="zero-delayed"):
-            PathBlock.from_paths([RenewalPath(0.5, np.array([0.5, 2.0]), 1.5)])
+
+    @pytest.mark.parametrize("ts", [[1.0, -1.0], [1.0, 11.0], [1.0, math.nan], [[1.0], [5.0]]],
+                             ids=["negative", "past-horizon", "nan", "two-dimensional"])
+    def test_residuals_reject_times_outside_horizon(self, ts):
+        # the array read checks its times itself, as RenewalPath.index_of
+        # checks them for the scalar readers
+        d = Gamma(2.0, 1.0)
+        (block,) = simulate_paths(d, 10.0, 3, np.random.default_rng(2))
+        with pytest.raises(HorizonExceededError, match=r"(?s)^times .* outside \[0, 10\]$"):
+            block.residuals(d, ts)
 
     @pytest.mark.parametrize("T, n", [(0.0, 5), (math.inf, 5), (10.0, -1)])
     def test_simulate_paths_rejects_bad_arguments_before_any_draw(self, T, n):
