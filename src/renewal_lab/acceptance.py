@@ -217,13 +217,14 @@ def check_compensator(dist: Distribution, blocks, mults) -> list[CheckResult]:
     standard exponential; N - 1 - Lambda is centered at t = m * mean within
     3 sd / sqrt(n) for every m in ``mults``.  ``blocks`` holds the paths as
     ``PathBlock``s to the last of those times and may be a generator; the
-    centering check reports their stragglers."""
+    centering check reports their stragglers and ties."""
     ts = np.asarray(mults, dtype=float) * dist.mean()
     parts, xi_parts = [], []
-    xi_count = stragglers = 0
+    xi_count = stragglers = ties = 0
     for block in blocks:
         parts.append(block.residuals(dist, ts))
         stragglers += block.stragglers
+        ties += block.ties
         # a path joins the pool while the pool holds fewer than 12000 cycles
         sizes = block.counts + 1
         rows = int(np.count_nonzero(xi_count + np.cumsum(sizes) - sizes < 12_000))
@@ -242,6 +243,7 @@ def check_compensator(dist: Distribution, blocks, mults) -> list[CheckResult]:
         meas[f"bound@{m:g}m"] = bound
         ok = ok and abs(float(v.mean())) <= bound
     meas["stragglers"] = stragglers
+    meas["ties"] = ties
     return [
         CheckResult(
             10,
@@ -289,13 +291,13 @@ def check_krt_slopes(dist: Distribution, r_z: float, fits, q: float = 2.0) -> Ch
 
 
 def check_rootzen_shrinks(
-    dist: Distribution, t_list, pairs, n_paths: int, seconds: float | None = None
+    dist: Distribution, t_list, runs, n_paths: int, seconds: float | None = None
 ) -> CheckResult:
     """The uniform error of the cycle-maximum approximation strictly decreases
-    along the horizons.  ``pairs`` holds the (error, stragglers) of each
+    along the horizons.  ``runs`` holds the (error, stragglers, ties) of each
     horizon, as ``_rootzen_error`` returns them, and the check reports the
-    stragglers.  ``seconds`` adds criterion 12's 2 min budget."""
-    errs = [err for err, _ in pairs]
+    stragglers and ties.  ``seconds`` adds criterion 12's 2 min budget."""
+    errs = [err for err, _, _ in runs]
     passed = all(b < a for a, b in zip(errs, errs[1:]))
     measured = {f"err_T{T:g}": e for T, e in zip(t_list, errs)}
     req = " < ".join(f"err({T:g})" for T in reversed(t_list)) + f" over {n_paths} paths"
@@ -303,7 +305,8 @@ def check_rootzen_shrinks(
         passed = passed and seconds < 120.0
         measured["seconds"] = seconds
         req += "; runtime < 2 min"
-    measured["stragglers"] = [stragglers for _, stragglers in pairs]
+    measured["stragglers"] = [stragglers for _, stragglers, _ in runs]
+    measured["ties"] = [ties for _, _, ties in runs]
     return CheckResult(12, f"cycle-maximum uniform error shrinks, {_label(dist)}", passed, measured, req)
 
 
@@ -543,12 +546,11 @@ def criterion_11_scaled_sup_sweeps(seed: int) -> list[CheckResult]:
         ("recurrence sup, pareto(3.5, 0.09), p=3", ShiftedPareto(3.5, 0.09), "recurrence", 3.0),
     ]
     for label, dist, which, p in sweeps:
-        probs = []
-        stragglers = []
+        probs, stragglers, ties = [], [], []
         dominated = True
         for j, T in enumerate((1.0e2, 1.0e3, 1.0e4)):
             rng = _stream(seed, 11, 100 * j + (0 if which == "compensator" else 7))
-            hits = straggled = 0
+            hits = straggled = tied = 0
             for block in simulate_paths(dist, T, 1000, rng):
                 if which == "compensator":
                     sup_a, sup_b = block.span_sups()
@@ -559,15 +561,17 @@ def criterion_11_scaled_sup_sweeps(seed: int) -> list[CheckResult]:
                 dominated = dominated and bool((value <= bound + 1e-12).all())
                 hits += int(np.count_nonzero(value > 0.1))
                 straggled += block.stragglers
+                tied += block.ties
             probs.append(hits / 1000.0)
             stragglers.append(straggled)
+            ties.append(tied)
         decreasing = probs[0] > probs[1] > probs[2]
         out.append(
             CheckResult(
                 11,
                 label,
                 decreasing and dominated,
-                {"P(sup>0.1)": probs, "pathwise_domination": dominated, "stragglers": stragglers},
+                {"P(sup>0.1)": probs, "pathwise_domination": dominated, "stragglers": stragglers, "ties": ties},
                 "strictly decreasing over T in {1e2,1e3,1e4}; domination on every path",
             )
         )
@@ -578,8 +582,8 @@ def criterion_12_rootzen(seed: int) -> list[CheckResult]:
     """Uniform error of the cycle-maximum approximation shrinks with the horizon."""
     dist = Gamma(2.0, 1.0)
     t0 = time.perf_counter()
-    pairs = [_rootzen_error(dist, T, 5000, "max-xi", _stream(seed, 12, j)) for j, T in enumerate((20.0, 200.0))]
-    return [check_rootzen_shrinks(dist, [20.0, 200.0], pairs, 5000, seconds=time.perf_counter() - t0)]
+    runs = [_rootzen_error(dist, T, 5000, "max-xi", _stream(seed, 12, j)) for j, T in enumerate((20.0, 200.0))]
+    return [check_rootzen_shrinks(dist, [20.0, 200.0], runs, 5000, seconds=time.perf_counter() - t0)]
 
 
 CRITERIA = {

@@ -489,12 +489,12 @@ def rootzen(runner: Runner, cfg: dict):
         raise ConfigError("T_list", f"expected two or more positive horizons, got {t_list}")
     n_paths = _read(cfg, "n_paths", 2000)
     try:
-        pairs = [_rootzen_error(dist, T, n_paths, statistic, _stream(runner.seed, 0, j)) for j, T in enumerate(t_list)]
+        runs = [_rootzen_error(dist, T, n_paths, statistic, _stream(runner.seed, 0, j)) for j, T in enumerate(t_list)]
     except FiniteSupportError as exc:
         # raised by the first horizon's call, before any path is drawn
         raise ConfigError("statistic", f"{statistic!r} on a {dist.kind} law: {exc}") from None
-    runner.write_rows("rootzen.csv", "T,sup_error", ((T, err) for T, (err, _) in zip(t_list, pairs)))
-    runner.check(check_rootzen_shrinks(dist, t_list, pairs, n_paths))
+    runner.write_rows("rootzen.csv", "T,sup_error", ((T, err) for T, (err, _, _) in zip(t_list, runs)))
+    runner.check(check_rootzen_shrinks(dist, t_list, runs, n_paths))
 
 
 @_subcommand(click.option("--criteria", default="", help="comma-separated subset, e.g. 1,2,5"), name="all")

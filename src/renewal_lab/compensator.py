@@ -10,6 +10,8 @@ Counting convention: N(t) = sum_{n>=0} 1{S_n <= t} counts the renewal at the
 origin of a zero-delayed path, so the centered martingale reads
 N(t) - 1 - Lambda(t).  The ``events`` array of a path stores only the
 strictly positive renewals; ``count`` adds the origin back for pure paths.
+Two equal events are a tie, a cycle of length 0: a draw below half an ulp
+of the running sum is absorbed by it.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def draw_interarrivals(dist: Distribution, size, rng: np.random.Generator) -> np
 
 @dataclass(frozen=True, eq=False)
 class RenewalPath:
-    """One realization: strictly increasing positive event times, run past the horizon.
+    """One realization: nondecreasing positive event times, run past the horizon.
 
     ``spans`` holds the gaps between consecutive epochs counted from the
     origin: ``spans[0]`` is the first event (the delay of a delayed path) and
@@ -70,8 +72,8 @@ class RenewalPath:
         object.__setattr__(self, "events", events)
         if events.size == 0 or events[0] <= 0.0:
             raise ValueError("paths must contain at least one strictly positive event")
-        if not (events[1:] > events[:-1]).all():  # also rejects NaN
-            raise ValueError("event times must be strictly increasing")
+        if not (events[1:] >= events[:-1]).all():  # also rejects NaN
+            raise ValueError("event times must be nondecreasing")
         if events[-1] < self.horizon:
             raise ValueError("simulation must run past the horizon")
 
@@ -159,7 +161,8 @@ class PathBlock:
     ``spans`` holds each row's gaps from the origin through that first event
     past the horizon (the ``RenewalPath.spans`` of the row) and 0 after, and
     is read-only.  ``stragglers`` is the number of rows whose first block of
-    draws ended at or below the horizon (see ``simulate_paths``).
+    draws ended at or below the horizon (see ``simulate_paths``), and
+    ``ties`` the number of kept spans of length 0.
 
     Each reader equals the matching per-path reader on every row bit for
     bit: it calls the hazard on the same values and adds in the same
@@ -171,6 +174,7 @@ class PathBlock:
     stragglers: int
     counts: np.ndarray = field(init=False, repr=False)
     spans: np.ndarray = field(init=False, repr=False)
+    ties: int = field(init=False)
 
     def __post_init__(self):
         events = np.asarray(self.events, dtype=float)
@@ -187,13 +191,14 @@ class PathBlock:
         np.subtract(events[:, 1:], events[:, :-1], out=spans[:, 1:])
         if (counts < width - 1).any():
             spans[np.arange(width) > counts[:, None]] = 0.0
-        # the kept spans, the first event's included, must all be > 0
-        if np.count_nonzero(spans > 0.0) != counts.sum() + len(events):
-            raise ValueError("event times must be positive and strictly increasing")
+        # the kept spans, the first event's included, must be >= 0 and the first > 0
+        if not ((events[:, 0] > 0.0).all() and (spans >= 0.0).all()):
+            raise ValueError("event times must be positive and nondecreasing")
         spans.flags.writeable = False
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "spans", spans)
+        object.__setattr__(self, "ties", int(counts.sum() + len(events) - np.count_nonzero(spans)))
 
     def _ages(self, ts, k):
         """A_t of every row at each t, given k = events in (0, t]: ``_age``
@@ -221,8 +226,8 @@ class PathBlock:
     def cycle_hazards(self, dist: Distribution, rows: int) -> np.ndarray:
         """The ``cycle_hazards`` xi of the first ``rows`` rows, row after row,
         by one cumulative-hazard call on their kept spans."""
-        spans = self.spans[:rows]
-        return dist.cumulative_hazard(spans[spans > 0.0])
+        kept = np.arange(self.spans.shape[1]) <= self.counts[:rows, None]
+        return dist.cumulative_hazard(self.spans[:rows][kept])
 
     def cycle_maxima(self) -> np.ndarray:
         """Per row, max tau_k over the cycles started by the horizon, the
@@ -439,9 +444,9 @@ def rootzen_uniform_error(
     return _rootzen_error(dist, T, n_paths, statistic, rng)[0]
 
 
-def _rootzen_error(dist: Distribution, T: float, n_paths: int, statistic: str, rng) -> tuple[float, int]:
-    """(``rootzen_uniform_error``, stragglers of its ``simulate_paths``
-    blocks); the arguments are checked before any draw.
+def _rootzen_error(dist: Distribution, T: float, n_paths: int, statistic: str, rng) -> tuple[float, int, int]:
+    """(``rootzen_uniform_error``, stragglers, ties) of its ``simulate_paths``
+    blocks; the arguments are checked before any draw.
 
     Each path's max tau is ``PathBlock.cycle_maxima``; for max-xi one
     cumulative-hazard call maps the whole sample set, which is the per-path
@@ -456,10 +461,11 @@ def _rootzen_error(dist: Distribution, T: float, n_paths: int, statistic: str, r
         raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
     if statistic == "max-tau" and math.isfinite(dist.support_end()):
         raise FiniteSupportError("the cycle-max law has bounded support; G^{mT} degenerates")
-    maxima, stragglers = [], 0
+    maxima, stragglers, ties = [], 0, 0
     for block in simulate_paths(dist, T, n_paths, rng):  # keeps each block's maxima only
         maxima.append(block.cycle_maxima())
         stragglers += block.stragglers
+        ties += block.ties
     samples = np.concatenate(maxima)
     if statistic == "max-xi":
         samples = dist.cumulative_hazard(samples)
@@ -469,4 +475,4 @@ def _rootzen_error(dist: Distribution, T: float, n_paths: int, statistic: str, r
     upper = np.arange(1, n_paths + 1) / n_paths
     lower = np.arange(0, n_paths) / n_paths
     error = float(np.max(np.maximum(np.abs(upper - target), np.abs(lower - target))))
-    return error, stragglers
+    return error, stragglers, ties

@@ -14,8 +14,8 @@ first blocks are one generator call.  The two densities of the thinning
 ratio are one read of ``recurrence_density_at``'s rows off the renewal
 measure Phi (past the verified burn-in lattice, the stationary density),
 with the lattice offsets built once per trace.  A trial thus makes one
-interarrival call (plus one per rare continuation block), one
-``dist.density`` call and one uniform.
+interarrival call (plus one per rare continuation block), one call of the
+bare density formula ``dist._density`` and one uniform.
 """
 
 from __future__ import annotations

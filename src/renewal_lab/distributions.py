@@ -44,6 +44,15 @@ def _scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _on_support(formula, x):
+    """``formula`` on x as a float array, 0 below 0: it reads x as is while no
+    entry has its sign bit set, else max(x, 0), so -0.0 reads as +0.0."""
+    x = np.asarray(x, dtype=float)
+    if not np.signbit(x).any():
+        return formula(x)
+    return np.where(x < 0.0, 0.0, formula(np.maximum(x, 0.0)))
+
+
 class Distribution(ABC):
     """A positive interarrival law with density, no atom at 0, finite mean."""
 
@@ -53,40 +62,37 @@ class Distribution(ABC):
 
     # -- core analytic functions -------------------------------------------
     # A float in gives a float out; an array keeps its shape.  Each kind
-    # supplies the formula on a float array as ``_density``, ``_cdf`` and
-    # ``_quantile``.
+    # supplies ``_quantile`` and, as bare formulas on x >= 0, ``_density`` and
+    # ``_cdf``; every read of those two here goes through ``_on_support``, the
+    # one home of the rule that both are 0 below 0.
 
     def density(self, x):
         """Density f(x); 0 for x < 0."""
-        return _scalar(self._density(np.asarray(x, dtype=float)))
+        return _scalar(_on_support(self._density, x))
 
     def cdf(self, x):
         """F(x) = P(tau <= x); 0 for x < 0."""
-        return _scalar(self._cdf(np.asarray(x, dtype=float)))
+        return _scalar(_on_support(self._cdf, x))
 
     def quantile(self, u):
         """Inverse CDF, u in [0, 1)."""
         return _scalar(self._quantile(np.asarray(u, dtype=float)))
 
     @abstractmethod
-    def _density(self, x):
-        ...
+    def _density(self, x): ...
 
     @abstractmethod
-    def _cdf(self, x):
-        ...
+    def _cdf(self, x): ...
 
     @abstractmethod
-    def _quantile(self, u):
-        ...
+    def _quantile(self, u): ...
 
     @abstractmethod
     def moment(self, order: float) -> MomentReport:
         """Raw moment E[tau^order] for order >= 1, closed form per family."""
 
     @abstractmethod
-    def mean(self) -> float:
-        ...
+    def mean(self) -> float: ...
 
     def support_end(self) -> float:
         """Right end of the support (inf unless the law is bounded)."""
@@ -105,7 +111,7 @@ class Distribution(ABC):
         support, or in the tail of an unbounded law, where F(x) rounds to 1.
         """
         x = np.asarray(x, dtype=float)
-        cdf = self._cdf(x)
+        cdf = _on_support(self._cdf, x)
         exhausted = cdf >= 1.0
         if exhausted.any():
             first = float(x[exhausted][0])
@@ -133,18 +139,16 @@ class Distribution(ABC):
 
     def stationary_delay_density(self, x):
         """pi(x) = m (1 - F(x)), the delay density that makes increments stationary."""
-        x = np.asarray(x, dtype=float)
-        return _scalar(np.where(x < 0.0, 0.0, self.rate() * (1.0 - self._cdf(x))))
+        m = self.rate()
+        return _scalar(_on_support(lambda y: m * (1.0 - self._cdf(y)), x))
 
     def stationary_delay_cdf(self, x):
         """Integral of the stationary delay density: m * int_0^x (1-F)."""
-        x = np.asarray(x, dtype=float)
-        out = np.clip(self._stationary_cdf_impl(np.maximum(x, 0.0)), 0.0, 1.0)
-        return _scalar(np.where(x < 0.0, 0.0, out))
+        impl = self._stationary_cdf_impl
+        return _scalar(_on_support(lambda y: np.clip(impl(y), 0.0, 1.0), x))
 
     @abstractmethod
-    def _stationary_cdf_impl(self, x):
-        ...
+    def _stationary_cdf_impl(self, x): ...
 
     def sample_stationary_delay(self, rng: np.random.Generator, size=None):
         """Exact draws from the stationary delay law, in closed form.
@@ -159,8 +163,7 @@ class Distribution(ABC):
         return float(out) if size is None else out
 
     @abstractmethod
-    def _stationary_delay_draw(self, rng: np.random.Generator, size):
-        ...
+    def _stationary_delay_draw(self, rng: np.random.Generator, size): ...
 
     # -- config round trip ----------------------------------------------------
 
@@ -186,10 +189,10 @@ class Exponential(Distribution):
             raise ValueError(f"exponential rate must be > 0, got {self.rate_}")
 
     def _density(self, x):
-        return np.where(x < 0.0, 0.0, self.rate_ * np.exp(-self.rate_ * np.maximum(x, 0.0)))
+        return self.rate_ * np.exp(-self.rate_ * x)
 
     def _cdf(self, x):
-        return np.where(x < 0.0, 0.0, -np.expm1(-self.rate_ * np.maximum(x, 0.0)))
+        return -np.expm1(-self.rate_ * x)
 
     def _quantile(self, u):
         return -np.log1p(-u) / self.rate_
@@ -225,23 +228,20 @@ class Gamma(Distribution):
             raise ValueError(f"gamma shape must be >= 1, got {self.shape}")
         if not self.rate_ > 0.0:
             raise ValueError(f"gamma rate must be > 0, got {self.rate_}")
+        object.__setattr__(self, "_log_gamma_shape", gammaln(self.shape))
 
     def _density(self, x):
+        k, lam = self.shape, self.rate_
         pos = x > 0.0
         xp = np.where(pos, x, 1.0)
-        log_pdf = (
-            self.shape * math.log(self.rate_)
-            + (self.shape - 1.0) * np.log(xp)
-            - self.rate_ * xp
-            - gammaln(self.shape)
-        )
+        log_pdf = k * math.log(lam) + (k - 1.0) * np.log(xp) - lam * xp - self._log_gamma_shape
         out = np.where(pos, np.exp(log_pdf), 0.0)
-        if self.shape == 1.0:
-            out = np.where(x == 0.0, self.rate_, out)
+        if k == 1.0:
+            out = np.where(x == 0.0, lam, out)
         return out
 
     def _cdf(self, x):
-        return np.where(x < 0.0, 0.0, gammainc(self.shape, self.rate_ * np.maximum(x, 0.0)))
+        return gammainc(self.shape, self.rate_ * x)
 
     def _quantile(self, u):
         return gammaincinv(self.shape, u) / self.rate_
@@ -250,7 +250,7 @@ class Gamma(Distribution):
         return self.shape / self.rate_
 
     def moment(self, order: float) -> MomentReport:
-        value = math.exp(gammaln(self.shape + order) - gammaln(self.shape))
+        value = math.exp(gammaln(self.shape + order) - self._log_gamma_shape)
         return MomentReport(value / self.rate_**order)
 
     def _stationary_cdf_impl(self, x):
@@ -284,12 +284,10 @@ class Uniform(Distribution):
         return self.hi
 
     def _density(self, x):
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
+        return np.where((x >= self.lo) & (x <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
 
     def _cdf(self, x):
-        out = np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return np.where(x < 0.0, 0.0, out)
+        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def _quantile(self, u):
         return self.lo + u * (self.hi - self.lo)
@@ -337,10 +335,10 @@ class ShiftedPareto(Distribution):
 
     def _density(self, x):
         r, c = self.tail, self.scale
-        return np.where(x < 0.0, 0.0, r / c * np.power(1.0 + np.maximum(x, 0.0) / c, -r - 1.0))
+        return r / c * np.power(1.0 + x / c, -r - 1.0)
 
     def _cdf(self, x):
-        return np.where(x < 0.0, 0.0, 1.0 - np.power(1.0 + np.maximum(x, 0.0) / self.scale, -self.tail))
+        return 1.0 - np.power(1.0 + x / self.scale, -self.tail)
 
     def _quantile(self, u):
         return self.scale * (np.power(1.0 - u, -1.0 / self.tail) - 1.0)

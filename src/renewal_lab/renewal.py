@@ -188,13 +188,14 @@ def _recurrence_read(
     values_at, dist: Distribution, t: float, x_grid: Grid | None, phi: GridMeasure
 ) -> tuple[Grid, float, np.ndarray, np.ndarray]:
     """x-grid, atom of Phi at 0, g(t + x) and int_(0,t] g(t + x - u) Phi(du)
-    at the x-grid nodes, for g evaluated on the lattice by ``values_at``."""
+    at the x-grid nodes, for g evaluated on the lattice h * arange by
+    ``values_at``, a law's bare formula: every lattice point is >= 0."""
     if x_grid is None:
         x_grid = default_recurrence_grid(dist, phi.grid.step)
     _check_steps_match(x_grid, phi)
     kt = phi.grid.index_of(t)
     w = phi.trapezoid_weights(kt)
-    nodes = np.asarray(values_at(phi.grid.step * np.arange(kt + x_grid.count + 1)), dtype=float)
+    nodes = values_at(phi.grid.step * np.arange(kt + x_grid.count + 1))
     return x_grid, phi.atom0, nodes[kt:], _middle_product(w, nodes, x_grid.count)
 
 
@@ -203,7 +204,7 @@ def _recurrence_cdf(
 ) -> tuple[Grid, np.ndarray, np.ndarray]:
     """x-grid, the B_t CDF clipped to [0, 1] and made nondecreasing, and the
     CDF as read, before that correction."""
-    x_grid, atom0, f, conv = _recurrence_read(dist.cdf, dist, t, x_grid, phi)
+    x_grid, atom0, f, conv = _recurrence_read(dist._cdf, dist, t, x_grid, phi)
     raw = atom0 * (f - f[0]) + (conv - conv[0])
     return x_grid, np.maximum.accumulate(np.clip(raw, 0.0, 1.0)), raw
 
@@ -232,18 +233,21 @@ def forward_recurrence_density(
     """Density of B_t evaluated directly (no differencing):
     p_t(x) = f(t + x) + int_0^t f(t + x - u) Phi(du), read as the same
     middle product as the CDF."""
-    x_grid, atom0, dens, conv = _recurrence_read(dist.density, dist, t, x_grid, phi)
+    x_grid, atom0, dens, conv = _recurrence_read(dist._density, dist, t, x_grid, phi)
     return GridFunction(x_grid, np.maximum(atom0 * dens + conv, 0.0))
 
 
 def recurrence_density_at(dist: Distribution, t: np.ndarray, x: np.ndarray, *, phi: GridMeasure) -> np.ndarray:
     """Pointwise densities of B_t at off-grid x: the same integral,
     f(t + x) + int_0^t f(t + x - u) Phi(du), one dot per (t, x) row of the
-    equal-length 1-D arrays ``t`` and ``x``; each t snaps to its nearest node."""
+    equal-length 1-D arrays ``t`` and ``x``, x >= 0; each t snaps to its
+    nearest node."""
     ts = np.asarray(t, dtype=float)
     xs = np.asarray(x, dtype=float)
     if ts.ndim != 1 or ts.shape != xs.shape:
         raise ValueError(f"t and x must be equal-length 1-D arrays, got shapes {ts.shape} and {xs.shape}")
+    if (xs < 0.0).any():
+        raise ValueError(f"x must be >= 0, the support of B_t, got x = {xs[xs < 0.0][0]:g}")
     if ts.size == 0:
         return np.empty(0)
     kts = [phi.grid.index_of(t_row) for t_row in ts.tolist()]
@@ -254,15 +258,17 @@ def recurrence_density_at(dist: Distribution, t: np.ndarray, x: np.ndarray, *, p
 def _density_rows(dist: Distribution, kts: list, xs: list, phi: GridMeasure, offsets: np.ndarray) -> list:
     """``recurrence_density_at``'s rows at the snapped nodes ``kts``, as floats.
     Lattice offsets are sliced from ``offsets = h * arange(k + 1)``, k at least
-    the largest node; all lattices are one ``dist.density`` call, and each row
-    one dot with its ``trapezoid_weights``, Phi's atom added to the first."""
+    the largest node; all lattices are one call of the bare formula
+    ``dist._density``, and each row one dot with its ``trapezoid_weights``,
+    Phi's atom added to the first.  Each entry fl(fl(kt h + x) - kt h) is
+    >= 0 for x >= 0, so the formula needs no below-zero rule."""
     h = phi.grid.step
     lattice = np.empty(sum(kts) + len(kts))
     start = 0
     for kt, x_row in zip(kts, xs):
         np.subtract(kt * h + x_row, offsets[: kt + 1], out=lattice[start : start + kt + 1])
         start += kt + 1
-    values = np.asarray(dist.density(lattice), dtype=float)
+    values = dist._density(lattice)
     out = []
     start = 0
     for kt in kts:

@@ -147,4 +147,4 @@ def test_check_compensator_equals_the_per_path_loop(monkeypatch):
                                                       (5.0, 50.0))
     ks, centering = check_compensator(dist, simulate_paths(dist, T, 600, _stream(1, 0, 0)), (5.0, 50.0))
     assert ks.measured == ks_loop and ks_loop["n_cycles"] > 12_000
-    assert centering.measured == {**centering_loop, "stragglers": 0}
+    assert centering.measured == {**centering_loop, "stragglers": 0, "ties": 0}

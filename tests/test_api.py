@@ -221,6 +221,9 @@ PRODUCT_CALLS = re.compile(r"\b(?:i?rfft|np\.fft|np\.convolve)\b")
 # a generator's construction from a seed (ROADMAP aim 3)
 STREAM_CALLS = re.compile(r"\b(?:default_rng|SeedSequence)\b")
 
+# the rule that a density or CDF is 0 below 0 (ROADMAP aim 2)
+BELOW_ZERO_RULE = re.compile(r"np\.where\(x < 0|np\.maximum\(x, 0")
+
 
 def test_one_trapezoidal_product():
     # every FFT and np.convolve of the package is in grids._middle_product
@@ -230,3 +233,8 @@ def test_one_trapezoidal_product():
 def test_one_stream_key():
     # every generator of the package is keyed [seed, domain, index] by acceptance._stream
     assert not _calls_outside(STREAM_CALLS, "acceptance.py", "_stream")
+
+
+def test_one_below_zero_rule():
+    # every law's formulas are bare on x >= 0: the rule lives in distributions._on_support
+    assert not _calls_outside(BELOW_ZERO_RULE, "distributions.py", "_on_support")

@@ -434,9 +434,9 @@ class TestSubcommands:
         res = runner.invoke(main, ["rootzen", "--config", cfg, "--out", str(tmp_path / "o"), "--strict"])
         assert res.exit_code == 0, res.output
         (check,) = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
-        # the (error, stragglers) pair of each horizon, as criterion 12 reports it
-        assert set(check["measured"]) == {"err_T20", "err_T120", "stragglers"}
-        assert check["measured"]["stragglers"] == [0, 0]
+        # the error, stragglers and ties of each horizon, as criterion 12 reports them
+        assert set(check["measured"]) == {"err_T20", "err_T120", "stragglers", "ties"}
+        assert check["measured"]["stragglers"] == check["measured"]["ties"] == [0, 0]
 
     def test_compensator_checks(self, runner, tmp_path):
         payload = {

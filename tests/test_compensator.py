@@ -125,8 +125,6 @@ class TestPaths:
         with pytest.raises(ValueError):
             RenewalPath(0.0, np.array([-0.5, 1.5]), 1.0)  # nonpositive event
         with pytest.raises(ValueError):
-            RenewalPath(0.0, np.array([0.5, 0.5, 2.0]), 1.0)  # repeated event
-        with pytest.raises(ValueError):
             RenewalPath(0.0, np.array([0.5, math.nan, 2.0]), 1.0)  # NaN event
 
 
@@ -681,8 +679,8 @@ class TestPathBlocks:
             PathBlock(np.array([1.0, 2.0]), 1.5, 0)
         with pytest.raises(ValueError, match="past the horizon"):
             PathBlock(np.array([[1.0, 2.0], [0.5, 1.0]]), 1.5, 0)
-        for row in ([0.5, 0.4, 2.0], [0.5, 0.5, 2.0], [0.5, math.nan, 2.0], [-0.5, 0.2, 2.0], [0.0, 0.2, 2.0]):
-            with pytest.raises(ValueError, match="strictly increasing"):
+        for row in ([0.5, 0.4, 2.0], [0.5, math.nan, 2.0], [-0.5, 0.2, 2.0], [0.0, 0.2, 2.0]):
+            with pytest.raises(ValueError, match="positive and nondecreasing"):
                 PathBlock(np.array([[0.5, 1.0, 2.0], row]), 1.5, 0)
         # entries after the first event past the horizon are not read
         block = PathBlock(np.array([[0.5, 2.0, -7.0], [0.5, 1.0, 2.0]]), 1.5, 0)
@@ -694,6 +692,19 @@ class TestPathBlocks:
             block.spans[0, 0] = 1.0
         with pytest.raises(HorizonExceededError):
             block.residuals(Exponential(1.0), [1.0, 1.6])
+
+    def test_tied_events_are_cycles_of_length_0(self, dist):
+        # a draw below half an ulp of the running sum leaves two equal events,
+        # a cycle of length 0 that a path and a block both keep and count; the
+        # second row's repeat after the first event past the horizon is unread
+        rows = ([0.5, 1.0, 1.0, 2.0], [0.5, 1.0, 2.0, 2.0])
+        paths = [RenewalPath(0.0, np.array(rows[0]), 1.5), RenewalPath(0.0, np.array(rows[1][:3]), 1.5)]
+        assert paths[0].spans.tolist() == [0.5, 0.5, 0.0, 1.0]
+        block = PathBlock(np.array(rows), 1.5, 0)
+        assert block.ties == 1 and block.counts.tolist() == [3, 2]
+        assert block.spans.tolist() == [[0.5, 0.5, 0.0, 1.0], [0.5, 0.5, 1.0, 0.0]]
+        _assert_rows_read_as_paths(block, paths, dist, np.array([0.0, 0.75, 1.0, 1.5]))
+        assert block.cycle_hazards(dist, 1)[2] == 0.0
 
     @pytest.mark.parametrize("ts", [[1.0, -1.0], [1.0, 11.0], [1.0, math.nan], [[1.0], [5.0]]],
                              ids=["negative", "past-horizon", "nan", "two-dimensional"])

@@ -276,18 +276,19 @@ class TestRecurrenceDraw:
 
     def test_one_draw_call_per_trial_and_one_density_call_per_read(self, kind_setup, monkeypatch):
         # draw calls: one per trial plus one per continuation block, which the
-        # oracle chain's walks count as the blocks past two per trial; density
-        # calls: one per thinning read, over the lattices of its rows
+        # oracle chain's walks count as the blocks past two per trial; calls of
+        # the bare density formula: one per thinning read, over the lattices of
+        # its rows
         d, phi, params = kind_setup
         sizes = _record_draws(monkeypatch)
         lattices = []
-        density = type(d).density
+        density = type(d)._density
 
         def recorded_density(self, x):
             lattices.append(len(x))
             return density(self, x)
 
-        monkeypatch.setattr(type(d), "density", recorded_density)
+        monkeypatch.setattr(type(d), "_density", recorded_density)
         t_stab = min(params.d + 20.0 * d.mean(), phi.grid.horizon)
         continuations = 0
         for seed in range(100):

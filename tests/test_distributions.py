@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import gammainc, gammaln
 
 from renewal_lab import Exponential, Gamma, ShiftedPareto, Uniform, distribution_from_config
 from renewal_lab.errors import ConfigError, SupportExhaustedError
@@ -322,3 +324,92 @@ class TestLawContract:
     def test_unhashable_kind_is_config_error(self):
         with pytest.raises(ConfigError, match="distribution.kind"):
             distribution_from_config({"kind": ["gamma"]})
+
+
+# The per-kind formulas as they stood while each kind guarded x < 0 itself,
+# copied as the oracle of the one below-zero rule in ``Distribution``.
+def _guarded_density(d, x):
+    if isinstance(d, Exponential):
+        return np.where(x < 0.0, 0.0, d.rate_ * np.exp(-d.rate_ * np.maximum(x, 0.0)))
+    if isinstance(d, Gamma):
+        pos = x > 0.0
+        xp = np.where(pos, x, 1.0)
+        log_pdf = d.shape * math.log(d.rate_) + (d.shape - 1.0) * np.log(xp) - d.rate_ * xp - gammaln(d.shape)
+        out = np.where(pos, np.exp(log_pdf), 0.0)
+        return np.where(x == 0.0, d.rate_, out) if d.shape == 1.0 else out
+    if isinstance(d, Uniform):
+        return np.where((x >= d.lo) & (x <= d.hi), 1.0 / (d.hi - d.lo), 0.0)
+    r, c = d.tail, d.scale
+    return np.where(x < 0.0, 0.0, r / c * np.power(1.0 + np.maximum(x, 0.0) / c, -r - 1.0))
+
+
+def _guarded_cdf(d, x):
+    if isinstance(d, Exponential):
+        return np.where(x < 0.0, 0.0, -np.expm1(-d.rate_ * np.maximum(x, 0.0)))
+    if isinstance(d, Gamma):
+        return np.where(x < 0.0, 0.0, gammainc(d.shape, d.rate_ * np.maximum(x, 0.0)))
+    if isinstance(d, Uniform):
+        return np.where(x < 0.0, 0.0, np.clip((x - d.lo) / (d.hi - d.lo), 0.0, 1.0))
+    return np.where(x < 0.0, 0.0, 1.0 - np.power(1.0 + np.maximum(x, 0.0) / d.scale, -d.tail))
+
+
+def _guarded_reads(d, x):
+    """Each public read's value at the float array x, by the guarded formulas;
+    the cumulative hazard is None where F reaches 1 and the read raises."""
+    cdf = _guarded_cdf(d, x)
+    impl = (lambda y: _guarded_cdf(d, y)) if isinstance(d, Exponential) else d._stationary_cdf_impl
+    return {
+        "density": _guarded_density(d, x),
+        "cdf": cdf,
+        "cumulative_hazard": None if (cdf >= 1.0).any() else -np.log1p(-cdf),
+        "stationary_delay_density": np.where(x < 0.0, 0.0, d.rate() * (1.0 - cdf)),
+        "stationary_delay_cdf": np.where(x < 0.0, 0.0, np.clip(impl(np.maximum(x, 0.0)), 0.0, 1.0)),
+    }
+
+
+_RULE_KINDS = [*ALL_KINDS, Gamma(1.0, 2.0), Uniform(0.5, 2.0)]
+
+
+def _rule_points(d):
+    points = [-1.0, -0.0, 0.0, math.nan, 5e-324, 1e-300]
+    if isinstance(d, Uniform):
+        points += [d.lo, d.hi + 0.5]
+    return np.array(points)
+
+
+class TestBelowZeroRule:
+    """Every public read of density and CDF equals the guarded per-kind
+    formulas bit for bit, sign and NaN included, at scalars and arrays below,
+    at and above 0.  The one allowed change: a uniform law with lo = 0 gave
+    -0.0 for F(-0.0) and H(-0.0), and now gives +0.0 as the other laws do."""
+
+    @staticmethod
+    def assert_reads_match(d, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            expected = _guarded_reads(d, x)
+            for method, want in expected.items():
+                read = getattr(d, method)
+                arg = float(x) if x.ndim == 0 else x
+                if want is None:
+                    with pytest.raises(SupportExhaustedError):
+                        read(arg)
+                    continue
+                got = np.asarray(read(arg))
+                if isinstance(d, Uniform):
+                    want = np.where((x == 0.0) & np.signbit(x) & (want == 0.0), 0.0, want)
+                assert got.shape == want.shape, method
+                assert np.array_equal(got, want, equal_nan=True), (method, got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (method, got, want)
+
+    @pytest.mark.parametrize("d", _RULE_KINDS, ids=repr)
+    def test_scalars(self, d):
+        for x in _rule_points(d).tolist():
+            self.assert_reads_match(d, np.float64(x))
+
+    @pytest.mark.parametrize("d", _RULE_KINDS, ids=repr)
+    def test_arrays(self, d):
+        lattice = d.mean() / 200.0 * np.arange(400)
+        finite = _rule_points(d)
+        for x in (lattice, finite, np.concatenate((finite, lattice)), -lattice, lattice.reshape(20, 20)):
+            self.assert_reads_match(d, x)

@@ -295,6 +295,11 @@ class TestRecurrenceDensityAt:
         with pytest.raises(ValueError, match="equal-length"):
             recurrence_density_at(dist, 1.0, 0.5, phi=phi)
 
+    def test_rejects_x_below_zero(self, dist, phi):
+        # the rows read the law's bare density formula, so x must lie in B_t's support
+        with pytest.raises(ValueError, match="x = -0.5"):
+            recurrence_density_at(dist, np.array([1.0, 2.0]), np.array([0.5, -0.5]), phi=phi)
+
     def test_horizon_exceeded(self, dist, phi):
         with pytest.raises(HorizonExceededError):
             recurrence_density_at(dist, np.array([1.0, 2.0 * phi.grid.horizon]), np.array([0.5, 0.5]), phi=phi)
