@@ -196,18 +196,21 @@ def check_stone_split(dist: Distribution, dec) -> CheckResult:
 
 def check_coupling_inequality(dist: Distribution, traces, phi: GridMeasure, ts) -> CheckResult:
     """2 P(T > t) + 3 se over the coupling traces bounds the TV distance of
-    B_t to its stationary law at every t in ``ts``."""
+    B_t to its stationary law at every t in ``ts``.  The traces' largest
+    thinning ratio rides along as a report: how close delta came to a
+    ``ThinningError`` (ratio > 1)."""
     bounds, tvs = {}, {}
     for t in ts:
         est = coupling_tail(traces, t)
         key = f"t={t / dist.mean():g}m"
         bounds[key] = 2.0 * est.p + 3.0 * est.stderr
         tvs[f"tv {key}"] = tv_to_stationary(dist, t, phi=phi)
+    top_ratio = max(tr.max_thinning_ratio for tr in traces)
     return CheckResult(
         6,
         "coupling inequality dominates the TV distance",
         all(b >= tv for b, tv in zip(bounds.values(), tvs.values())),
-        bounds | tvs,
+        bounds | tvs | {"max_thinning_ratio": top_ratio},
         f"2 P(T > t) + 3 se >= tv at t in {_set(t / dist.mean() for t in ts)} means",
     )
 

@@ -13,9 +13,10 @@ A trial's two recurrence draws are exact walks over interarrivals whose
 first blocks are one generator call.  The two densities of the thinning
 ratio are one read of ``recurrence_density_at``'s rows off the renewal
 measure Phi (past the verified burn-in lattice, the stationary density),
-with the lattice offsets built once per trace.  A trial thus makes one
-interarrival call (plus one per rare continuation block), one call of the
-bare density formula ``dist._density`` and one uniform.
+each row slicing the lattice offsets and trapezoid weights that Phi builds
+once.  A trial thus makes one interarrival call (plus one per rare
+continuation block), one call of the bare density formula ``dist._density``
+and one uniform.
 """
 
 from __future__ import annotations
@@ -202,6 +203,9 @@ class CouplingTrace:
     Row k of ``eta`` holds (eta_k, eta_hat_k); row k of ``beta`` holds the
     recurrence draws made from that state (for the accepted row both entries
     equal the shared renewal offset); row ``sigma`` is the last.
+    ``max_thinning_ratio`` is the largest acceptance probability
+    delta^2 / (b^2 p(beta) p(beta_hat)) over the trace's thinning reads: a
+    value near 1 says delta is close to a ``ThinningError``.
     """
 
     eta: np.ndarray
@@ -209,6 +213,7 @@ class CouplingTrace:
     sigma: int
     coupling_time: float
     accepted_draw: tuple[float, float]
+    max_thinning_ratio: float
 
     @property
     def indicators(self) -> np.ndarray:
@@ -263,10 +268,10 @@ def simulate_coupling(
     # density (checked in find_common_component): probes there read it, not the grid
     t_stab = min(params.d + 20.0 * dist.mean(), phi.grid.horizon)
     index_of = phi.grid.index_of
-    offsets = phi.grid.step * np.arange(index_of(t_stab) + 1)
 
     eta, eta_hat = 0.0, dist.sample_stationary_delay(rng)
     etas, betas = [], []
+    top_ratio = 0.0
     for _ in range(_MAX_STEPS):
         L = max(eta, eta_hat) + d
         t1, t2 = L - eta, L - eta_hat
@@ -276,7 +281,7 @@ def simulate_coupling(
         accept = False
         if beta < b and beta_hat < b:
             if t1 <= t_stab and t2 <= t_stab:
-                p0, p1 = _density_rows(dist, [index_of(t1), index_of(t2)], [beta, beta_hat], phi, offsets)
+                p0, p1 = _density_rows(dist, [index_of(t1), index_of(t2)], [beta, beta_hat], phi)
             else:
                 ts, xs = np.array((t1, t2)), np.array((beta, beta_hat))
                 near = ts <= t_stab
@@ -290,6 +295,7 @@ def simulate_coupling(
                     f"acceptance probability {ratio:g} > 1 at (t1={t1:g}, t2={t2:g}); "
                     "the component parameters overstate delta"
                 )
+            top_ratio = max(top_ratio, ratio)
             accept = rng.random() < ratio
 
         if accept:
@@ -301,6 +307,7 @@ def simulate_coupling(
                 sigma=len(etas) - 1,
                 coupling_time=L + shared,
                 accepted_draw=(beta, beta_hat),
+                max_thinning_ratio=top_ratio,
             )
         betas.append((beta, beta_hat))
         eta, eta_hat = L + beta, L + beta_hat

@@ -231,13 +231,22 @@ class Gamma(Distribution):
         object.__setattr__(self, "_log_gamma_shape", gammaln(self.shape))
 
     def _density(self, x):
+        # exp(k log(lam) + (k - 1) log(x) - lam x - log Gamma(k)), summed in
+        # that order in one buffer; the x = 0 masks run only when x has an
+        # entry <= 0 (or NaN), never on the probe chain's positive lattices
         k, lam = self.shape, self.rate_
-        pos = x > 0.0
-        xp = np.where(pos, x, 1.0)
-        log_pdf = k * math.log(lam) + (k - 1.0) * np.log(xp) - lam * xp - self._log_gamma_shape
-        out = np.where(pos, np.exp(log_pdf), 0.0)
-        if k == 1.0:
-            out = np.where(x == 0.0, lam, out)
+        pos = None if x.size and x.min() > 0.0 else x > 0.0
+        xp = x if pos is None else np.where(pos, x, 1.0)
+        out = np.asarray(np.log(xp))  # an array also for a 0-d x
+        out *= k - 1.0
+        out += k * math.log(lam)
+        out -= lam * xp
+        out -= self._log_gamma_shape
+        np.exp(out, out=out)
+        if pos is not None:
+            out[~pos] = 0.0
+            if k == 1.0:
+                out[x == 0.0] = lam
         return out
 
     def _cdf(self, x):
@@ -334,8 +343,13 @@ class ShiftedPareto(Distribution):
             raise ValueError(f"shifted-pareto scale must be > 0, got {self.scale}")
 
     def _density(self, x):
+        # r / c * (1 + x / c)^(-r - 1), in one buffer
         r, c = self.tail, self.scale
-        return r / c * np.power(1.0 + x / c, -r - 1.0)
+        out = np.asarray(x / c)  # an array also for a 0-d x
+        out += 1.0
+        np.power(out, -r - 1.0, out=out)
+        out *= r / c
+        return out
 
     def _cdf(self, x):
         return 1.0 - np.power(1.0 + x / self.scale, -self.tail)

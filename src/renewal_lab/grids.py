@@ -17,6 +17,7 @@ horizon that is too short instead of silently losing tail mass.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,6 +141,26 @@ class GridMeasure:
             w[-1] *= 0.5
         else:
             w[:] = 0.0
+        return w
+
+    @functools.cached_property
+    def node_offsets(self) -> np.ndarray:
+        """h * arange(n_nodes), built on first read and read-only: every
+        lattice offset h * arange(k + 1) is a prefix of it."""
+        offsets = self.grid.nodes()
+        offsets.flags.writeable = False
+        return offsets
+
+    @functools.cached_property
+    def weight_prefix(self) -> np.ndarray:
+        """h * density at every node, built on first read and read-only, with
+        the first weight halved and the atom added to it.  For k >= 1 its
+        first k + 1 entries, the last halved, are ``trapezoid_weights(k)``
+        with the atom in the first weight, float for float."""
+        w = self.density * self.grid.step
+        w[0] *= 0.5
+        w[0] += self.atom0
+        w.flags.writeable = False
         return w
 
     def cumulative(self) -> np.ndarray:

@@ -251,30 +251,36 @@ def recurrence_density_at(dist: Distribution, t: np.ndarray, x: np.ndarray, *, p
     if ts.size == 0:
         return np.empty(0)
     kts = [phi.grid.index_of(t_row) for t_row in ts.tolist()]
-    offsets = phi.grid.step * np.arange(max(kts) + 1)
-    return np.array(_density_rows(dist, kts, xs.tolist(), phi, offsets))
+    return np.array(_density_rows(dist, kts, xs.tolist(), phi))
 
 
-def _density_rows(dist: Distribution, kts: list, xs: list, phi: GridMeasure, offsets: np.ndarray) -> list:
+def _density_rows(dist: Distribution, kts: list, xs: list, phi: GridMeasure) -> list:
     """``recurrence_density_at``'s rows at the snapped nodes ``kts``, as floats.
-    Lattice offsets are sliced from ``offsets = h * arange(k + 1)``, k at least
-    the largest node; all lattices are one call of the bare formula
-    ``dist._density``, and each row one dot with its ``trapezoid_weights``,
-    Phi's atom added to the first.  Each entry fl(fl(kt h + x) - kt h) is
-    >= 0 for x >= 0, so the formula needs no below-zero rule."""
+    Every row slices Phi's per-measure arrays: its lattice offsets are
+    ``phi.node_offsets[: kt + 1]`` and its weights ``phi.weight_prefix[: kt + 1]``
+    with the last halved in a copy (a kt = 0 row has the atom as its one
+    weight), which are ``trapezoid_weights(kt)`` with the atom added to the
+    first, float for float.  All lattices are one call of the bare formula
+    ``dist._density`` and each row one dot.  Each entry fl(fl(kt h + x) - j h)
+    is >= 0 for x >= 0, so the formula needs no below-zero rule."""
     h = phi.grid.step
+    offsets = phi.node_offsets
     lattice = np.empty(sum(kts) + len(kts))
     start = 0
     for kt, x_row in zip(kts, xs):
         np.subtract(kt * h + x_row, offsets[: kt + 1], out=lattice[start : start + kt + 1])
         start += kt + 1
     values = dist._density(lattice)
+    prefix = phi.weight_prefix
     out = []
     start = 0
     for kt in kts:
-        w = phi.trapezoid_weights(kt)
-        w[0] += phi.atom0
-        out.append(float(np.dot(w, values[start : start + kt + 1])))
+        if kt:
+            w = prefix[: kt + 1].copy()
+            w[-1] *= 0.5
+            out.append(float(np.dot(w, values[start : start + kt + 1])))
+        else:
+            out.append(float(phi.atom0 * values[start]))
         start += kt + 1
     return out
 

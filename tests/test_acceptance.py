@@ -69,7 +69,11 @@ def test_criterion_5_maximal_coupling():
 
 
 def test_criterion_6_coupling_construction():
-    assert_all(run(6))
+    results = run(6)
+    assert_all(results)
+    # the coupling-inequality check reports the traces' largest thinning ratio
+    (inequality,) = [r for r in results if r.name == "coupling inequality dominates the TV distance"]
+    assert 0.0 < inequality.measured["max_thinning_ratio"] <= 1.0 + 1e-9
 
 
 def test_criterion_7_coupling_moment_stability():

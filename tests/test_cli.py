@@ -300,6 +300,28 @@ class TestDeterminism:
         for i in range(1, 13):
             assert not np.array_equal(_stream(DEFAULT_SEED, 0, i).random(8), _stream(DEFAULT_SEED, i, 0).random(8))
 
+    def test_couple_reports_the_largest_thinning_ratio(self, runner, tmp_path):
+        # the coupling-inequality check carries the maximum over the traces of
+        # each trace's largest thinning ratio
+        dist = Gamma(2.0, 1.0)
+        payload = {
+            "distribution": dist.to_config(),
+            "grid": {"h": 0.02, "horizon": 60.0},
+            "seed": 11,
+            "n_traces": 1000,
+            "t_checks": [10.0],
+        }
+        cfg = write_config(tmp_path, "c.json", payload)
+        res = runner.invoke(main, ["couple", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+        (inequality,) = [c for c in checks if c["name"] == "6. coupling inequality dominates the TV distance"]
+        phi = renewal_measure(dist, Grid.from_horizon(60.0, 0.02))
+        params = find_common_component(dist, phi=phi)
+        traces = [simulate_coupling(dist, params, _stream(11, 0, i), phi=phi) for i in range(1000)]
+        assert inequality["measured"]["max_thinning_ratio"] == max(tr.max_thinning_ratio for tr in traces)
+        assert 0.0 < inequality["measured"]["max_thinning_ratio"] <= 1.0 + 1e-9
+
     def test_config_echo_round_trips(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**BASE, "forcing": {"type": "linear"}})
         res = runner.invoke(main, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])

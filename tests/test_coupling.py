@@ -165,10 +165,18 @@ def _oracle_pair(dist, t1, t2, rng):
     return _draw_recurrence_cumsum(dist, t1, rng), _draw_recurrence_cumsum(dist, t2, rng)
 
 
-def _oracle_density_rows(dist, kts, xs, phi, offsets):
-    """The chain's density read as one ``recurrence_density_at`` call at the
-    times of the snapped nodes."""
-    return recurrence_density_at(dist, phi.grid.step * np.array(kts), np.array(xs), phi=phi).tolist()
+def _oracle_density_rows(dist, kts, xs, phi):
+    """The chain's density read row by row: the public density on the row's
+    lattice, dotted with ``phi.trapezoid_weights`` and the atom added to the
+    first weight, a weight rule the chain's per-measure prefix does not use."""
+    h = phi.grid.step
+    out = []
+    for kt, x in zip(kts, xs):
+        w = phi.trapezoid_weights(kt)
+        w[0] += phi.atom0
+        values = np.asarray(dist.density(kt * h + x - h * np.arange(kt + 1)), dtype=float)
+        out.append(float(np.dot(w, values)))
+    return out
 
 
 def _oracle_chain(monkeypatch):
@@ -273,6 +281,30 @@ class TestRecurrenceDraw:
                 else:
                     assert va == vb, field.name
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_max_thinning_ratio_is_the_largest_read_ratio(self, kind_setup):
+        # each trial whose draws both fall in (0, b) reads the ratio
+        # delta^2 / (b^2 p p_hat); the trace keeps the largest, at most 1
+        d, phi, params = kind_setup
+        t_stab = min(params.d + 20.0 * d.mean(), phi.grid.horizon)
+        scale = params.delta * params.delta * (1.0 / params.b) * (1.0 / params.b)
+        for seed in range(100):
+            tr = simulate_coupling(d, params, np.random.default_rng(seed), phi=phi)
+            ratios = []
+            for k in range(tr.sigma + 1):
+                L = max(tr.eta[k]) + params.d
+                xs = tr.accepted_draw if k == tr.sigma else tuple(tr.beta[k])
+                if max(xs) >= params.b:
+                    continue
+                p = [
+                    recurrence_density_at(d, np.array([L - e]), np.array([x]), phi=phi)[0]
+                    if L - e <= t_stab
+                    else d.stationary_delay_density(x)
+                    for e, x in zip(tr.eta[k], xs)
+                ]
+                ratios.append(scale / (p[0] * p[1]))
+            assert tr.max_thinning_ratio == max(ratios)
+            assert 0.0 < tr.max_thinning_ratio <= 1.0 + 1e-9
 
     def test_one_draw_call_per_trial_and_one_density_call_per_read(self, kind_setup, monkeypatch):
         # draw calls: one per trial plus one per continuation block, which the

@@ -367,7 +367,7 @@ def _guarded_reads(d, x):
     }
 
 
-_RULE_KINDS = [*ALL_KINDS, Gamma(1.0, 2.0), Uniform(0.5, 2.0)]
+_RULE_KINDS = [*ALL_KINDS, Gamma(1.0, 2.0), Gamma(3.5, 0.7), Uniform(0.5, 2.0), ShiftedPareto(1.5, 0.3)]
 
 
 def _rule_points(d):
@@ -379,9 +379,11 @@ def _rule_points(d):
 
 class TestBelowZeroRule:
     """Every public read of density and CDF equals the guarded per-kind
-    formulas bit for bit, sign and NaN included, at scalars and arrays below,
-    at and above 0.  The one allowed change: a uniform law with lo = 0 gave
-    -0.0 for F(-0.0) and H(-0.0), and now gives +0.0 as the other laws do."""
+    formulas bit for bit, sign and NaN included, at scalars, 0-d arrays and
+    arrays below, at and above 0; the all-positive arrays take gamma's
+    unmasked density branch, the others its x = 0 masks.  The one allowed
+    change: a uniform law with lo = 0 gave -0.0 for F(-0.0) and H(-0.0), and
+    now gives +0.0 as the other laws do."""
 
     @staticmethod
     def assert_reads_match(d, x):
@@ -390,17 +392,17 @@ class TestBelowZeroRule:
             expected = _guarded_reads(d, x)
             for method, want in expected.items():
                 read = getattr(d, method)
-                arg = float(x) if x.ndim == 0 else x
-                if want is None:
-                    with pytest.raises(SupportExhaustedError):
-                        read(arg)
-                    continue
-                got = np.asarray(read(arg))
-                if isinstance(d, Uniform):
-                    want = np.where((x == 0.0) & np.signbit(x) & (want == 0.0), 0.0, want)
-                assert got.shape == want.shape, method
-                assert np.array_equal(got, want, equal_nan=True), (method, got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want)), (method, got, want)
+                for arg in (float(x), np.asarray(x)) if x.ndim == 0 else (x,):
+                    if want is None:
+                        with pytest.raises(SupportExhaustedError):
+                            read(arg)
+                        continue
+                    got = np.asarray(read(arg))
+                    if isinstance(d, Uniform):
+                        want = np.where((x == 0.0) & np.signbit(x) & (want == 0.0), 0.0, want)
+                    assert got.shape == want.shape, method
+                    assert np.array_equal(got, want, equal_nan=True), (method, got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want)), (method, got, want)
 
     @pytest.mark.parametrize("d", _RULE_KINDS, ids=repr)
     def test_scalars(self, d):
@@ -410,6 +412,15 @@ class TestBelowZeroRule:
     @pytest.mark.parametrize("d", _RULE_KINDS, ids=repr)
     def test_arrays(self, d):
         lattice = d.mean() / 200.0 * np.arange(400)
+        positive = lattice + 0.37 * d.mean() / 200.0  # no zero, no sign bit
         finite = _rule_points(d)
-        for x in (lattice, finite, np.concatenate((finite, lattice)), -lattice, lattice.reshape(20, 20)):
+        for x in (
+            lattice,
+            finite,
+            np.concatenate((finite, lattice)),
+            -lattice,
+            lattice.reshape(20, 20),
+            positive,
+            positive.reshape(20, 20).T,
+        ):
             self.assert_reads_match(d, x)

@@ -263,6 +263,25 @@ class TestConvolution:
         w += 1.0
         np.testing.assert_array_equal(mu.density, before)
 
+    def test_per_measure_prefixes(self):
+        # built once, read-only, and for every k >= 1 the weight prefix's first
+        # k + 1 entries, the last halved, are the trapezoid weights with the
+        # atom in the first, float for float
+        grid = Grid(0.02, 400)
+        mu = GridMeasure(grid, 0.15, bump_measure(grid, 1.2, 0.8, 0.7).density + 0.1)
+        assert mu.node_offsets is mu.node_offsets and mu.weight_prefix is mu.weight_prefix
+        np.testing.assert_array_equal(mu.node_offsets, grid.step * np.arange(grid.n_nodes))
+        for k in (1, 2, 137, grid.count):
+            w = mu.weight_prefix[: k + 1].copy()
+            w[-1] *= 0.5
+            oracle = mu.trapezoid_weights(k)
+            oracle[0] += mu.atom0
+            np.testing.assert_array_equal(w, oracle)
+        for prefix in (mu.node_offsets, mu.weight_prefix):
+            assert prefix.shape == (grid.n_nodes,)
+            with pytest.raises(ValueError, match="read-only"):
+                prefix[0] = 1.0
+
     def test_node_evaluation_matches_full_convolution(self):
         grid = Grid(0.02, 400)
         mu = GridMeasure(grid, 0.15, bump_measure(grid, 1.2, 0.8, 0.7).density)

@@ -283,6 +283,17 @@ class TestRecurrenceDensityAt:
             t2 = rng.uniform(0.0, 21.0 * dist.mean(), 2) * rng.integers(0, 2, 2)
             x2 = rng.uniform(0.0, dist.mean(), 2)
             assert np.array_equal(recurrence_density_at(dist, t2, x2, phi=phi), _recurrence_density_at_shared_slices(dist, t2, x2, phi))
+        # rows at nodes 0 and 1 and at the grid's last node, where the lattice
+        # offsets and weights are sliced to the end of Phi's per-measure prefixes
+        h, n = phi.grid.step, phi.grid.count
+        ts = np.array([0.0, h, 1.3 * h, (n - 0.4) * h, phi.grid.horizon])
+        assert [phi.grid.index_of(t) for t in ts] == [0, 1, 1, n, n]
+        xs = np.array([0.41, 0.013, 0.97, 0.41, 0.013]) * dist.mean()
+        for rows in [slice(None), *(slice(i, i + 1) for i in range(len(ts)))]:
+            assert np.array_equal(
+                recurrence_density_at(dist, ts[rows], xs[rows], phi=phi),
+                _recurrence_density_at_shared_slices(dist, ts[rows], xs[rows], phi),
+            )
 
     @pytest.mark.parametrize("rows", [0, 1])
     def test_short_arrays_stay_arrays(self, dist, phi, rows):
