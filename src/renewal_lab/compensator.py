@@ -34,7 +34,6 @@ __all__ = [
     "simulate_paths",
     "draw_interarrivals",
     "sample_forward_recurrence",
-    "recurrence_times",
     "compensator_at",
     "cycle_hazards",
     "scaled_compensator_sup",
@@ -337,16 +336,6 @@ def _age(path: RenewalPath, t: float, k: int):
     k = path.index_of(t).  The factor (k >= 1) zeroes the wrapped read
     events[-1] where no event precedes t."""
     return t - path.events[k - 1] * (k >= 1)
-
-
-def recurrence_times(path: RenewalPath, t: float) -> tuple[float, float]:
-    """(A_t, B_t): elapsed time since the last renewal <= t and time to the next.
-
-    For a delayed path before its first renewal, A_t falls back to the time
-    since the origin.
-    """
-    k = path.index_of(t)
-    return float(_age(path, t, k)), float(path.events[k]) - t
 
 
 def compensator_at(path: RenewalPath, dist: Distribution, t: float) -> float:

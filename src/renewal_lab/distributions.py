@@ -67,7 +67,7 @@ class Distribution(ABC):
     # one home of the rule that both are 0 below 0.
 
     def density(self, x):
-        """Density f(x); 0 for x < 0."""
+        """Density f(x); 0 for x < 0, NaN at NaN."""
         return _scalar(_on_support(self._density, x))
 
     def cdf(self, x):
@@ -233,18 +233,19 @@ class Gamma(Distribution):
     def _density(self, x):
         # exp(k log(lam) + (k - 1) log(x) - lam x - log Gamma(k)), summed in
         # that order in one buffer; the x = 0 masks run only when x has an
-        # entry <= 0 (or NaN), never on the probe chain's positive lattices
+        # entry <= 0 (or NaN, which passes through them), never on the probe
+        # chain's positive lattices
         k, lam = self.shape, self.rate_
-        pos = None if x.size and x.min() > 0.0 else x > 0.0
-        xp = x if pos is None else np.where(pos, x, 1.0)
+        zero = None if x.size and x.min() > 0.0 else x <= 0.0
+        xp = x if zero is None else np.where(zero, 1.0, x)
         out = np.asarray(np.log(xp))  # an array also for a 0-d x
         out *= k - 1.0
         out += k * math.log(lam)
         out -= lam * xp
         out -= self._log_gamma_shape
         np.exp(out, out=out)
-        if pos is not None:
-            out[~pos] = 0.0
+        if zero is not None:
+            out[zero] = 0.0
             if k == 1.0:
                 out[x == 0.0] = lam
         return out
@@ -293,7 +294,8 @@ class Uniform(Distribution):
         return self.hi
 
     def _density(self, x):
-        return np.where((x >= self.lo) & (x <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
+        inside = np.where((x >= self.lo) & (x <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
+        return np.where(np.isnan(x), x, inside)
 
     def _cdf(self, x):
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)

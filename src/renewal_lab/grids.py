@@ -34,7 +34,6 @@ __all__ = [
     "convolve_measures",
     "convolve_measure_function",
     "tv_distance",
-    "overlap_mass",
     "measure_from_distribution",
 ]
 
@@ -132,15 +131,14 @@ class GridMeasure:
         return self.atom0 + float(np.trapezoid(self.density, dx=self.grid.step))
 
     def trapezoid_weights(self, k: int) -> np.ndarray:
-        """Trapezoid weights of the density on [0, x_k] as a fresh array:
-        h * density[0..k] with both ends halved, all zero at k = 0.  The
-        atom at 0 is not included."""
-        w = self.density[: k + 1] * self.grid.step
-        if k >= 1:
-            w[0] *= 0.5
-            w[-1] *= 0.5
-        else:
-            w[:] = 0.0
+        """Trapezoid weights of the whole measure on [0, x_k] as a fresh array:
+        the first k + 1 entries of ``weight_prefix`` with the last halved, so
+        the atom is in the first weight; at k = 0 the atom alone.  Every read
+        of a measure against a function on its nodes is a dot with these."""
+        if k == 0:
+            return np.array([self.atom0])
+        w = self.weight_prefix[: k + 1].copy()
+        w[-1] *= 0.5
         return w
 
     @functools.cached_property
@@ -154,9 +152,8 @@ class GridMeasure:
     @functools.cached_property
     def weight_prefix(self) -> np.ndarray:
         """h * density at every node, built on first read and read-only, with
-        the first weight halved and the atom added to it.  For k >= 1 its
-        first k + 1 entries, the last halved, are ``trapezoid_weights(k)``
-        with the atom in the first weight, float for float."""
+        the first weight halved and the atom added to it: the weights
+        ``trapezoid_weights`` slices."""
         w = self.density * self.grid.step
         w[0] *= 0.5
         w[0] += self.atom0
@@ -279,7 +276,7 @@ def convolve_measure_function(mu: GridMeasure, z: GridFunction) -> GridFunction:
 def convolve_measure_function_at(mu: GridMeasure, z: GridFunction, k: int) -> float:
     """Single node (mu * z)(t_k) without forming the whole output."""
     _check_same_grid(mu.grid, z.grid)
-    return mu.atom0 * z.values[k] + float(np.dot(mu.trapezoid_weights(k), z.values[k::-1]))
+    return float(np.dot(mu.trapezoid_weights(k), z.values[k::-1]))
 
 
 def tv_distance(p: GridMeasure, q: GridMeasure) -> float:
@@ -294,13 +291,6 @@ def tv_distance(p: GridMeasure, q: GridMeasure) -> float:
             raise NotNormalizedError(f"{name} argument has mass {mass!r}, expected 1 +/- 1e-06")
     dens_part = float(np.trapezoid(np.abs(p.density - q.density), dx=p.grid.step))
     return abs(p.atom0 - q.atom0) + dens_part
-
-
-def overlap_mass(p: GridMeasure, q: GridMeasure) -> float:
-    """Mass of the common part p ^ q (pointwise minimum of atoms and densities)."""
-    _check_same_grid(p.grid, q.grid)
-    common = np.minimum(p.density, q.density)
-    return min(p.atom0, q.atom0) + float(np.trapezoid(common, dx=p.grid.step))
 
 
 def inverse_cdf(measure: GridMeasure, u: np.ndarray, mass: float) -> np.ndarray:

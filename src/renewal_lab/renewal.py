@@ -186,17 +186,16 @@ def _check_steps_match(x_grid: Grid, phi: GridMeasure) -> None:
 
 def _recurrence_read(
     values_at, dist: Distribution, t: float, x_grid: Grid | None, phi: GridMeasure
-) -> tuple[Grid, float, np.ndarray, np.ndarray]:
-    """x-grid, atom of Phi at 0, g(t + x) and int_(0,t] g(t + x - u) Phi(du)
-    at the x-grid nodes, for g evaluated on the lattice h * arange by
-    ``values_at``, a law's bare formula: every lattice point is >= 0."""
+) -> tuple[Grid, np.ndarray]:
+    """x-grid and int_[0,t] g(t + x - u) Phi(du) at the x-grid nodes, for g
+    evaluated on the lattice h * arange by ``values_at``, a law's bare
+    formula: every lattice point is >= 0."""
     if x_grid is None:
         x_grid = default_recurrence_grid(dist, phi.grid.step)
     _check_steps_match(x_grid, phi)
     kt = phi.grid.index_of(t)
-    w = phi.trapezoid_weights(kt)
     nodes = values_at(phi.grid.step * np.arange(kt + x_grid.count + 1))
-    return x_grid, phi.atom0, nodes[kt:], _middle_product(w, nodes, x_grid.count)
+    return x_grid, _middle_product(phi.trapezoid_weights(kt), nodes, x_grid.count)
 
 
 def _recurrence_cdf(
@@ -204,8 +203,8 @@ def _recurrence_cdf(
 ) -> tuple[Grid, np.ndarray, np.ndarray]:
     """x-grid, the B_t CDF clipped to [0, 1] and made nondecreasing, and the
     CDF as read, before that correction."""
-    x_grid, atom0, f, conv = _recurrence_read(dist._cdf, dist, t, x_grid, phi)
-    raw = atom0 * (f - f[0]) + (conv - conv[0])
+    x_grid, conv = _recurrence_read(dist._cdf, dist, t, x_grid, phi)
+    raw = conv - conv[0]
     return x_grid, np.maximum.accumulate(np.clip(raw, 0.0, 1.0)), raw
 
 
@@ -231,15 +230,15 @@ def forward_recurrence_density(
     dist: Distribution, t: float, x_grid: Grid | None = None, *, phi: GridMeasure
 ) -> GridFunction:
     """Density of B_t evaluated directly (no differencing):
-    p_t(x) = f(t + x) + int_0^t f(t + x - u) Phi(du), read as the same
-    middle product as the CDF."""
-    x_grid, atom0, dens, conv = _recurrence_read(dist._density, dist, t, x_grid, phi)
-    return GridFunction(x_grid, np.maximum(atom0 * dens + conv, 0.0))
+    p_t(x) = int_[0,t] f(t + x - u) Phi(du), whose atom at 0 gives the
+    f(t + x) term, read as the same middle product as the CDF."""
+    x_grid, conv = _recurrence_read(dist._density, dist, t, x_grid, phi)
+    return GridFunction(x_grid, np.maximum(conv, 0.0))
 
 
 def recurrence_density_at(dist: Distribution, t: np.ndarray, x: np.ndarray, *, phi: GridMeasure) -> np.ndarray:
     """Pointwise densities of B_t at off-grid x: the same integral,
-    f(t + x) + int_0^t f(t + x - u) Phi(du), one dot per (t, x) row of the
+    int_[0,t] f(t + x - u) Phi(du), one dot per (t, x) row of the
     equal-length 1-D arrays ``t`` and ``x``, x >= 0; each t snaps to its
     nearest node."""
     ts = np.asarray(t, dtype=float)
@@ -256,13 +255,11 @@ def recurrence_density_at(dist: Distribution, t: np.ndarray, x: np.ndarray, *, p
 
 def _density_rows(dist: Distribution, kts: list, xs: list, phi: GridMeasure) -> list:
     """``recurrence_density_at``'s rows at the snapped nodes ``kts``, as floats.
-    Every row slices Phi's per-measure arrays: its lattice offsets are
-    ``phi.node_offsets[: kt + 1]`` and its weights ``phi.weight_prefix[: kt + 1]``
-    with the last halved in a copy (a kt = 0 row has the atom as its one
-    weight), which are ``trapezoid_weights(kt)`` with the atom added to the
-    first, float for float.  All lattices are one call of the bare formula
-    ``dist._density`` and each row one dot.  Each entry fl(fl(kt h + x) - j h)
-    is >= 0 for x >= 0, so the formula needs no below-zero rule."""
+    Every row's lattice offsets are ``phi.node_offsets[: kt + 1]``, all
+    lattices are one call of the bare formula ``dist._density``, and each row
+    is one dot with ``phi.trapezoid_weights(kt)``.  Each entry
+    fl(fl(kt h + x) - j h) is >= 0 for x >= 0, so the formula needs no
+    below-zero rule."""
     h = phi.grid.step
     offsets = phi.node_offsets
     lattice = np.empty(sum(kts) + len(kts))
@@ -271,16 +268,10 @@ def _density_rows(dist: Distribution, kts: list, xs: list, phi: GridMeasure) -> 
         np.subtract(kt * h + x_row, offsets[: kt + 1], out=lattice[start : start + kt + 1])
         start += kt + 1
     values = dist._density(lattice)
-    prefix = phi.weight_prefix
     out = []
     start = 0
     for kt in kts:
-        if kt:
-            w = prefix[: kt + 1].copy()
-            w[-1] *= 0.5
-            out.append(float(np.dot(w, values[start : start + kt + 1])))
-        else:
-            out.append(float(phi.atom0 * values[start]))
+        out.append(float(np.dot(phi.trapezoid_weights(kt), values[start : start + kt + 1])))
         start += kt + 1
     return out
 

@@ -2,11 +2,12 @@
 top level re-exports exactly their union, and every pinned function, every
 public method of a pinned class and every field of a pinned dataclass is named
 by code outside the tests.  Source scans also pin the one home of the FFT
-and of np.convolve, ``grids._middle_product``, and of the generators,
-``acceptance._stream``.
+and of np.convolve, ``grids._middle_product``, of the generators,
+``acceptance._stream``, and of a measure's trapezoid weights,
+``GridMeasure.trapezoid_weights``.
 
 A reader is ``cli.py``, ``acceptance.py``, the benchmark harness
-(``perfbench/*.py``), ``README.md``, or another library module; a method or
+(``perfbench/*.py``) or another library module; a method or
 a field may also be read in its own module.  The package sources are read
 from wherever ``renewal_lab`` is imported from, so the test also checks an
 installed copy.
@@ -44,7 +45,6 @@ SURFACE = {
         "convolve_measures",
         "convolve_measure_function",
         "tv_distance",
-        "overlap_mass",
         "measure_from_distribution",
     },
     "renewal": {
@@ -82,7 +82,6 @@ SURFACE = {
         "simulate_paths",
         "draw_interarrivals",
         "sample_forward_recurrence",
-        "recurrence_times",
         "compensator_at",
         "cycle_hazards",
         "scaled_compensator_sup",
@@ -95,7 +94,7 @@ SURFACE = {
 
 READERS = "\n".join(
     p.read_text()
-    for p in (PACKAGE / "cli.py", PACKAGE / "acceptance.py", *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "README.md")
+    for p in (PACKAGE / "cli.py", PACKAGE / "acceptance.py", *sorted((ROOT / "perfbench").glob("*.py")))
 )
 LIBRARY = {m: (PACKAGE / f"{m}.py").read_text() for m in SURFACE}
 
@@ -233,6 +232,15 @@ def test_one_trapezoidal_product():
 def test_one_stream_key():
     # every generator of the package is keyed [seed, domain, index] by acceptance._stream
     assert not _calls_outside(STREAM_CALLS, "acceptance.py", "_stream")
+
+
+def test_one_weight_rule():
+    # every read of a measure takes its weights, the atom in the first, from
+    # GridMeasure.trapezoid_weights: only grids names the prefix it slices,
+    # and renewal never adds Phi's atom itself
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, text in sources.items() if re.search(r"\bweight_prefix\b", text)] == ["grids.py"]
+    assert "atom0" not in sources["renewal.py"]
 
 
 def test_one_below_zero_rule():

@@ -14,7 +14,6 @@ from renewal_lab import (
     compensator_at,
     cycle_hazards,
     path_max_statistic,
-    recurrence_times,
     rootzen_uniform_error,
     sample_forward_recurrence,
     scaled_compensator_sup,
@@ -112,7 +111,7 @@ class TestPaths:
         for _ in range(4000):
             path = simulate_path(d, 16.0, d.sample_stationary_delay(rng), rng)
             for t in probes:
-                draws[t].append(recurrence_times(path, t)[1])
+                draws[t].append(_recurrence_times_oracle(path, t)[1])
         for t in probes:
             res = stats.kstest(np.asarray(draws[t]), lambda v: np.asarray(d.stationary_delay_cdf(v)))
             assert res.statistic < 1.36 / math.sqrt(len(draws[t])), f"t={t}"
@@ -129,21 +128,24 @@ class TestPaths:
 
 
 class TestRecurrenceTimes:
+    """Hand checks of ``_recurrence_times_oracle``, which the dense sup
+    oracles read, and of the exponential residual's law."""
+
     def test_hand_checked_example(self):
         # renewals at 0, 2, 5 (pure path): at t = 3 the age is 1, the residual 2
         path = RenewalPath(0.0, np.array([2.0, 5.0]), 3.0)
-        a, b = recurrence_times(path, 3.0)
+        a, b = _recurrence_times_oracle(path, 3.0)
         assert (a, b) == (1.0, 2.0)
 
     def test_at_event_age_is_zero(self):
         path = RenewalPath(0.0, np.array([2.0, 5.0]), 3.0)
-        a, b = recurrence_times(path, 2.0)
+        a, b = _recurrence_times_oracle(path, 2.0)
         assert a == 0.0 and b == 3.0
 
     def test_age_plus_residual_spans_cycle(self, dist, rng):
         path = simulate_path(dist, 10.0 * dist.mean(), "zero", rng)
         for t in [0.3 * dist.mean(), 4.0 * dist.mean(), 9.0 * dist.mean()]:
-            a, b = recurrence_times(path, t)
+            a, b = _recurrence_times_oracle(path, t)
             assert a >= 0.0 and b > 0.0
             spans = np.diff(np.concatenate(([0.0], path.events)))
             assert any(abs(a + b - s) < 1e-9 for s in spans) or a == t
@@ -281,11 +283,6 @@ class TestBadInput:
         with pytest.raises(ValueError, match=r'^delay must be "zero" or a finite time >= 0, got '):
             simulate_path(Exponential(1.0), 10.0, delay, rng)
 
-    def test_recurrence_times_rejects_nan_t(self, rng):
-        path = simulate_path(Exponential(1.0), 10.0, "zero", rng)
-        with pytest.raises(HorizonExceededError, match="t = nan"):
-            recurrence_times(path, math.nan)
-
     @pytest.mark.parametrize("sup", [
         lambda path, T: scaled_compensator_sup(path, Gamma(2.0, 1.0), T, 0.5),
         lambda path, T: scaled_recurrence_sup(path, T, 2.0),
@@ -305,7 +302,6 @@ class TestBadInput:
 # every path reader, each through the one checked lookup RenewalPath.index_of
 _PATH_READERS = {
     "count": lambda path, dist, t: path.count(t),
-    "recurrence_times": lambda path, dist, t: recurrence_times(path, t),
     "compensator_at": lambda path, dist, t: compensator_at(path, dist, t),
     "scaled_compensator_sup": lambda path, dist, t: scaled_compensator_sup(path, dist, t, 0.5),
     "scaled_recurrence_sup": lambda path, dist, t: scaled_recurrence_sup(path, t, 2.0),
@@ -376,7 +372,7 @@ class TestScaledSups:
             dense = 0.0
             for v in vs:
                 t = v * T
-                a, _ = recurrence_times(path, t)
+                a, _ = _recurrence_times_oracle(path, t)
                 dense = max(dense, float(dist.cumulative_hazard(a)))
             dense /= T**p
             assert sup >= dense - 1e-9
@@ -386,8 +382,8 @@ class TestScaledSups:
             path = simulate_path(dist, T, "zero", rng)
             sup_a, sup_b = scaled_recurrence_sup(path, T, 2.0)
             vs = np.linspace(0.0, 1.0, 4001)
-            da = max(recurrence_times(path, v * T)[0] for v in vs) / T**0.5
-            db = max(recurrence_times(path, v * T)[1] for v in vs) / T**0.5
+            da = max(_recurrence_times_oracle(path, v * T)[0] for v in vs) / T**0.5
+            db = max(_recurrence_times_oracle(path, v * T)[1] for v in vs) / T**0.5
             assert sup_a >= da - 1e-9
             assert sup_b >= db - 1e-9
 
@@ -492,7 +488,6 @@ class TestSpanReaders:
             assert np.array_equal(path.spans[int(not path.is_pure) :], _interarrivals_oracle(path))
             for t in ts:
                 t = float(t)
-                assert recurrence_times(path, t) == _recurrence_times_oracle(path, t)
                 if t > 0.0:
                     _assert_same(_outcome(scaled_recurrence_sup, path, t, 3.0),
                                  _outcome(_scaled_recurrence_sup_oracle, path, t, 3.0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import ALL_KINDS
+from conftest import ALL_KINDS, trapezoid_weights_oracle
 from renewal_lab import (
     Exponential,
     Gamma,
@@ -167,13 +167,12 @@ def _oracle_pair(dist, t1, t2, rng):
 
 def _oracle_density_rows(dist, kts, xs, phi):
     """The chain's density read row by row: the public density on the row's
-    lattice, dotted with ``phi.trapezoid_weights`` and the atom added to the
-    first weight, a weight rule the chain's per-measure prefix does not use."""
+    lattice, dotted with the trapezoid weights written out, Phi's atom in the
+    first."""
     h = phi.grid.step
     out = []
     for kt, x in zip(kts, xs):
-        w = phi.trapezoid_weights(kt)
-        w[0] += phi.atom0
+        w = trapezoid_weights_oracle(phi, kt)
         values = np.asarray(dist.density(kt * h + x - h * np.arange(kt + 1)), dtype=float)
         out.append(float(np.dot(w, values)))
     return out

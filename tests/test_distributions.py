@@ -327,18 +327,19 @@ class TestLawContract:
 
 
 # The per-kind formulas as they stood while each kind guarded x < 0 itself,
-# copied as the oracle of the one below-zero rule in ``Distribution``.
+# copied as the oracle of the one below-zero rule in ``Distribution``; gamma
+# and uniform read NaN as NaN, where their guarded formulas gave 0.
 def _guarded_density(d, x):
     if isinstance(d, Exponential):
         return np.where(x < 0.0, 0.0, d.rate_ * np.exp(-d.rate_ * np.maximum(x, 0.0)))
     if isinstance(d, Gamma):
-        pos = x > 0.0
+        pos = ~(x <= 0.0)
         xp = np.where(pos, x, 1.0)
         log_pdf = d.shape * math.log(d.rate_) + (d.shape - 1.0) * np.log(xp) - d.rate_ * xp - gammaln(d.shape)
         out = np.where(pos, np.exp(log_pdf), 0.0)
         return np.where(x == 0.0, d.rate_, out) if d.shape == 1.0 else out
     if isinstance(d, Uniform):
-        return np.where((x >= d.lo) & (x <= d.hi), 1.0 / (d.hi - d.lo), 0.0)
+        return np.where(np.isnan(x), x, np.where((x >= d.lo) & (x <= d.hi), 1.0 / (d.hi - d.lo), 0.0))
     r, c = d.tail, d.scale
     return np.where(x < 0.0, 0.0, r / c * np.power(1.0 + np.maximum(x, 0.0) / c, -r - 1.0))
 

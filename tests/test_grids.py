@@ -13,7 +13,6 @@ from renewal_lab import (
     convolve_measure_function,
     convolve_measures,
     measure_from_distribution,
-    overlap_mass,
     tv_distance,
 )
 from renewal_lab.errors import HorizonExceededError, IncompatibleGridsError, NotNormalizedError
@@ -241,42 +240,48 @@ class TestConvolution:
         clipped = float(np.trapezoid(convolve_measures(f, f).density - raw, dx=grid.step))
         assert clipped <= 1e-14
 
+    @staticmethod
+    def general_measure(grid):
+        """An atom that is neither 0 nor 1 and a density that is not 0 at 0."""
+        return GridMeasure(grid, 0.375, bump_measure(grid, 1.2, 0.8, 0.7).density + 0.1)
+
     def test_trapezoid_weights(self):
+        # the weights of the whole measure on [0, x_k]: the atom plus half the
+        # first density weight, the last density weight halved, the atom alone at 0
         grid = Grid(0.02, 400)
-        mu = GridMeasure(grid, 0.15, bump_measure(grid, 1.2, 0.8, 0.7).density + 0.1)
-        h = grid.step
-        np.testing.assert_array_equal(mu.trapezoid_weights(0), [0.0])
-        np.testing.assert_array_equal(mu.trapezoid_weights(1), 0.5 * h * mu.density[:2])
-        w = mu.trapezoid_weights(grid.count)
-        inner = h * mu.density
-        inner[[0, -1]] *= 0.5
-        np.testing.assert_array_equal(w, inner)
-        # the weights integrate the density; the atom is left out
-        assert float(np.sum(w)) == pytest.approx(mu.total_mass() - mu.atom0, rel=1e-14)
+        mu = self.general_measure(grid)
+        h, d, n = grid.step, mu.density, grid.count
+        np.testing.assert_array_equal(mu.trapezoid_weights(0), [0.375])
+        np.testing.assert_array_equal(mu.trapezoid_weights(1), [0.375 + 0.5 * h * d[0], 0.5 * h * d[1]])
+        w = mu.trapezoid_weights(n)
+        np.testing.assert_array_equal(w, np.concatenate(([0.375 + 0.5 * h * d[0]], h * d[1:n], [0.5 * h * d[n]])))
+        assert float(np.sum(w)) == pytest.approx(mu.total_mass(), rel=1e-14)
 
     @pytest.mark.parametrize("k", [0, 1, 400])
     def test_trapezoid_weights_are_a_fresh_array(self, k):
         grid = Grid(0.02, 400)
-        mu = bump_measure(grid, 1.2, 0.8)
-        before = mu.density.copy()
+        mu = self.general_measure(grid)
+        before = mu.density.copy(), mu.trapezoid_weights(k)
         w = mu.trapezoid_weights(k)
         w += 1.0
-        np.testing.assert_array_equal(mu.density, before)
+        np.testing.assert_array_equal(mu.density, before[0])
+        np.testing.assert_array_equal(mu.trapezoid_weights(k), before[1])
 
     def test_per_measure_prefixes(self):
-        # built once, read-only, and for every k >= 1 the weight prefix's first
-        # k + 1 entries, the last halved, are the trapezoid weights with the
-        # atom in the first, float for float
+        # built once and read-only: the lattice offsets h * arange, and the
+        # weights h * density with the first halved and the atom added, whose
+        # first k + 1 entries, the last halved, are the trapezoid weights
         grid = Grid(0.02, 400)
-        mu = GridMeasure(grid, 0.15, bump_measure(grid, 1.2, 0.8, 0.7).density + 0.1)
+        mu = self.general_measure(grid)
         assert mu.node_offsets is mu.node_offsets and mu.weight_prefix is mu.weight_prefix
         np.testing.assert_array_equal(mu.node_offsets, grid.step * np.arange(grid.n_nodes))
+        prefix = grid.step * mu.density
+        prefix[0] = 0.375 + 0.5 * prefix[0]
+        np.testing.assert_array_equal(mu.weight_prefix, prefix)
         for k in (1, 2, 137, grid.count):
-            w = mu.weight_prefix[: k + 1].copy()
+            w = prefix[: k + 1].copy()
             w[-1] *= 0.5
-            oracle = mu.trapezoid_weights(k)
-            oracle[0] += mu.atom0
-            np.testing.assert_array_equal(w, oracle)
+            np.testing.assert_array_equal(mu.trapezoid_weights(k), w)
         for prefix in (mu.node_offsets, mu.weight_prefix):
             assert prefix.shape == (grid.n_nodes,)
             with pytest.raises(ValueError, match="read-only"):
@@ -284,10 +289,10 @@ class TestConvolution:
 
     def test_node_evaluation_matches_full_convolution(self):
         grid = Grid(0.02, 400)
-        mu = GridMeasure(grid, 0.15, bump_measure(grid, 1.2, 0.8, 0.7).density)
+        mu = self.general_measure(grid)
         z = GridFunction.from_callable(grid, lambda x: np.exp(-0.3 * x))
         full = convolve_measure_function(mu, z)
-        for k in [0, 1, 17, 200, 400]:
+        for k in range(grid.n_nodes):
             assert convolve_measure_function_at(mu, z, k) == pytest.approx(full.values[k], abs=1e-13)
 
 
@@ -324,7 +329,8 @@ class TestTotalVariation:
         # |p - q| integrates to 2 (1 - mass(p ^ q)) for probability measures
         p = self.normalized(Exponential(1.0))
         q = self.normalized(Exponential(2.0))
-        assert tv_distance(p, q) == pytest.approx(2.0 * (1.0 - overlap_mass(p, q)), abs=1e-8)
+        overlap = min(p.atom0, q.atom0) + float(np.trapezoid(np.minimum(p.density, q.density), dx=p.grid.step))
+        assert tv_distance(p, q) == pytest.approx(2.0 * (1.0 - overlap), abs=1e-8)
 
     def test_symmetry_and_triangle_inequality(self, rng):
         grid = Grid(0.01, 4500)

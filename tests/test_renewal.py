@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import trapezoid_weights_oracle
 from renewal_lab import (
     CouplingParams,
     Exponential,
     Gamma,
     Grid,
     GridFunction,
+    GridMeasure,
     ShiftedPareto,
     Uniform,
     convolve_measure_function,
@@ -117,22 +119,32 @@ class TestVolterraSolver:
 
 
 def _recurrence_direct(dist, t, x_grid, phi, route):
-    """Recurrence-law read from the full np.convolve, sliced at [kt, kt + X]:
-    the oracle for the middle product."""
+    """Recurrence-law read from the full np.convolve of the written-out
+    trapezoid weights, Phi's atom in the first, sliced at [kt, kt + X]: the
+    oracle for the middle product."""
     kt = phi.grid.index_of(t)
-    w = phi.density[: kt + 1] * phi.grid.step
-    if kt >= 1:
-        w[0] *= 0.5
-        w[-1] *= 0.5
-    else:
-        w[:] = 0.0
+    w = trapezoid_weights_oracle(phi, kt)
     g = dist.cdf if route == "cdf" else dist.density
     nodes = np.asarray(g(phi.grid.step * np.arange(kt + x_grid.count + 1)), dtype=float)
     conv = np.convolve(w, nodes)[kt : kt + x_grid.count + 1]
     if route == "density":
-        return np.maximum(phi.atom0 * nodes[kt:] + conv, 0.0)
-    values = phi.atom0 * (nodes[kt:] - nodes[kt]) + (conv - conv[0])
-    return np.maximum.accumulate(np.clip(values, 0.0, 1.0))
+        return np.maximum(conv, 0.0)
+    return np.maximum.accumulate(np.clip(conv - conv[0], 0.0, 1.0))
+
+
+def _assert_read_matches_direct(dist, t, x_grid, phi, route):
+    """The read against ``_recurrence_direct``: bit for bit where the middle
+    product is summed directly, within 1e-12 of the largest value by FFT.
+    Returns whether the read was direct."""
+    fast = _READS[route](dist, t, x_grid, phi=phi).values
+    direct = _recurrence_direct(dist, t, x_grid, phi, route)
+    assert fast.shape == direct.shape
+    is_direct = TestRecurrenceMiddleProduct.is_direct(phi.grid.index_of(t), x_grid)
+    if is_direct:
+        np.testing.assert_array_equal(fast, direct)
+    else:
+        assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
+    return is_direct
 
 
 _READS = {"cdf": forward_recurrence_cdf, "density": forward_recurrence_density}
@@ -163,14 +175,7 @@ class TestRecurrenceMiddleProduct:
     @pytest.mark.parametrize("t_means", [0.0, "step", 1.0, 10.0, 80.0])
     def test_matches_full_convolution(self, dist, phi, size, route, t_means):
         t = phi.grid.step if t_means == "step" else t_means * dist.mean()
-        x_grid = self.x_grid(dist, phi, size)
-        fast = _READS[route](dist, t, x_grid, phi=phi).values
-        direct = _recurrence_direct(dist, t, x_grid, phi, route)
-        assert fast.shape == direct.shape
-        if self.is_direct(phi.grid.index_of(t), x_grid):
-            np.testing.assert_array_equal(fast, direct)
-        else:
-            assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
+        _assert_read_matches_direct(dist, t, self.x_grid(dist, phi, size), phi, route)
 
     @staticmethod
     def is_direct(kt, x_grid):
@@ -201,8 +206,9 @@ class TestRecurrenceMiddleProduct:
 
 
 def _recurrence_density_at_direct(dist, t, x, phi):
-    """Scalar density of B_t at an off-grid x, f(t + x) plus one dot with the
-    trapezoid weights of Phi's density: the oracle for the fused read."""
+    """Scalar density of B_t at an off-grid x, Phi's atom times f(t + x) plus
+    one dot with the trapezoid weights of Phi's density: the oracle for the
+    fused read."""
     h = phi.grid.step
     kt = phi.grid.index_of(t)
     w = phi.density[: kt + 1] * h
@@ -212,7 +218,7 @@ def _recurrence_density_at_direct(dist, t, x, phi):
     else:
         w[:] = 0.0
     t_snap = kt * h
-    base = float(dist.density(t_snap + x))
+    base = phi.atom0 * float(dist.density(t_snap + x))
     if kt == 0:
         return base
     return base + float(np.dot(w, np.asarray(dist.density(t_snap + x - h * np.arange(kt + 1)), dtype=float)))
@@ -318,6 +324,32 @@ class TestRecurrenceDensityAt:
             recurrence_density_at(dist, np.array([1.0, np.nan]), np.array([0.5, 0.5]), phi=phi)
 
 
+class TestMeasureWithGeneralAtom:
+    """The reads of a measure whose atom is neither 0 nor 1, 0.375 at 0 plus
+    0.625 times the renewal density, against their direct oracles."""
+
+    @pytest.fixture
+    def phi(self, dist):
+        phi = _default_phi(dist)
+        return GridMeasure(phi.grid, 0.375, 0.625 * phi.density)
+
+    @pytest.mark.parametrize("route", ["cdf", "density"])
+    def test_recurrence_reads_match_full_convolution(self, dist, phi, route):
+        branches = set()
+        for size in ("default", "small"):
+            x_grid = TestRecurrenceMiddleProduct.x_grid(dist, phi, size)
+            for t in (0.0, phi.grid.step, dist.mean(), 10.0 * dist.mean()):
+                branches.add(_assert_read_matches_direct(dist, t, x_grid, phi, route))
+        assert branches == {True, False}
+
+    def test_density_at_matches_direct(self, dist, phi):
+        ts, xs = map(np.array, zip(*TestRecurrenceDensityAt().points(dist, phi)))
+        fast = recurrence_density_at(dist, ts, xs, phi=phi)
+        direct = np.array([_recurrence_density_at_direct(dist, t, x, phi) for t, x in zip(ts, xs)])
+        assert np.all(np.abs(fast - direct) <= 1e-12 * np.abs(direct))
+        assert np.array_equal(fast, _recurrence_density_at_shared_slices(dist, ts, xs, phi))
+
+
 class TestRenewalMeasure:
     def test_atom_is_one(self, dist):
         phi = renewal_measure(dist, small_grid(dist))
@@ -346,7 +378,6 @@ class TestRenewalMeasure:
         grid = Grid(d.mean() / 100.0, 100 * 10)
         phi = renewal_measure(d, grid)
         kernel = measure_from_distribution(d, grid)
-        from renewal_lab.grids import GridMeasure
 
         total = power = GridMeasure(grid, 1.0, np.zeros(grid.n_nodes))
         for _ in range(40):
