@@ -12,11 +12,11 @@ The stationary process starts from an exact closed-form draw of its delay.
 A trial's two recurrence draws are exact walks over interarrivals whose
 first blocks are one generator call.  The two densities of the thinning
 ratio are one read of ``recurrence_density_at``'s rows off the renewal
-measure Phi (past the verified burn-in lattice, the stationary density),
-each row slicing the lattice offsets and trapezoid weights that Phi builds
-once.  A trial thus makes one interarrival call (plus one per rare
-continuation block), one call of the bare density formula ``dist._density``
-and one uniform.
+measure Phi, each row slicing the lattice offsets and trapezoid weights
+that Phi builds once; a probe past the verified burn-in lattice reads the
+stationary density instead, and the other probe its row alone.  A trial
+thus makes one interarrival call (plus one per rare continuation block),
+one call of the bare density formula ``dist._density`` and one uniform.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .distributions import Distribution
 from .errors import NoCommonComponentError, NotNormalizedError, ThinningError
 from .grids import Grid, GridMeasure, _check_same_grid, inverse_cdf
-from .renewal import _density_rows, forward_recurrence_density, recurrence_density_at
+from .renewal import _density_rows, forward_recurrence_density
 from .compensator import draw_interarrivals, simulate_path
 
 __all__ = [
@@ -283,12 +283,12 @@ def simulate_coupling(
             if t1 <= t_stab and t2 <= t_stab:
                 p0, p1 = _density_rows(dist, [index_of(t1), index_of(t2)], [beta, beta_hat], phi)
             else:
-                ts, xs = np.array((t1, t2)), np.array((beta, beta_hat))
-                near = ts <= t_stab
-                p = np.empty(2)
-                p[near] = recurrence_density_at(dist, ts[near], xs[near], phi=phi)
-                p[~near] = dist.stationary_delay_density(xs[~near])
-                p0, p1 = p.tolist()
+                p0, p1 = (
+                    _density_rows(dist, [index_of(t)], [x], phi)[0]
+                    if t <= t_stab
+                    else dist.stationary_delay_density(x)
+                    for t, x in ((t1, beta), (t2, beta_hat))
+                )
             ratio = delta * delta * inv_b * inv_b / (p0 * p1)
             if ratio > 1.0 + 1e-9:
                 raise ThinningError(

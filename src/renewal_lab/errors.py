@@ -29,8 +29,12 @@ class HorizonExceededError(RenewalLabError):
     """A time argument lies outside [0, horizon], the grid or path horizon."""
 
 
+class IntervalError(RenewalLabError):
+    """An interval endpoint is NaN, or the lower endpoint exceeds the upper."""
+
+
 class NoComponentFoundError(RenewalLabError):
-    """No uniform component of usable mass was found in the scanned powers."""
+    """No uniform component of usable mass was found in the scanned windows."""
 
 
 class NegativeComponentError(RenewalLabError):

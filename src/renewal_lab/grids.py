@@ -25,7 +25,7 @@ import numpy as np
 import scipy.fft
 
 from .distributions import Distribution, Uniform
-from .errors import HorizonExceededError, IncompatibleGridsError, NotNormalizedError
+from .errors import HorizonExceededError, IncompatibleGridsError, IntervalError, NotNormalizedError
 
 __all__ = [
     "Grid",
@@ -172,6 +172,8 @@ class GridMeasure:
 
     def interval_mass(self, lo: float, hi: float) -> float:
         """Mass of (lo, hi] clipped to the horizon (atom counted iff lo < 0)."""
+        if not lo <= hi:
+            raise IntervalError(f"need lo <= hi, got lo = {lo:g}, hi = {hi:g}")
         cum = self.cumulative()
         xs = self.grid.nodes()
 

@@ -1,10 +1,11 @@
 """Constructive decomposition of the renewal measure into a bounded part and
 an absolutely continuous part with density converging to the renewal rate.
 
-The construction detects a uniform sub-component of a convolution power of
-the interarrival law, subtracts it, and resolves the remainder by a Volterra
-solve; because the discrete trapezoidal convolution algebra is associative,
-the defining identities hold on the grid to rounding error, not just O(h^2).
+The construction detects a uniform sub-component of the interarrival law
+itself, in windows that shrink with the law's scale, subtracts it, and
+resolves the remainder by one Volterra solve; because the discrete
+trapezoidal convolution algebra is associative, the defining identities
+hold on the grid to rounding error, not just O(h^2).
 """
 
 from __future__ import annotations
@@ -14,38 +15,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution
-from .errors import NegativeComponentError, NoComponentFoundError
+from .errors import IntervalError, NegativeComponentError, NoComponentFoundError
 from .grids import (
     Grid,
     GridFunction,
     GridMeasure,
     convolve_measure_function,
-    convolve_measures,
     measure_from_distribution,
 )
 from .renewal import renewal_measure, volterra_renewal_density
 
 __all__ = ["UniformComponent", "StoneDecomposition", "find_uniform_component", "stone_decompose", "phi2_tail"]
 
-# candidate windows in units of the mean; the decomposition is not unique,
-# so we take the feasible window maximizing the component mass (larger mass
-# means a smaller bounded part and better-conditioned numerics)
-_A_LATTICE = [0.1 * j for j in range(41)]
+# window lengths in units of the scale mean / 2^k; the decomposition is not
+# unique, so we take the feasible window maximizing the component mass (larger
+# mass means a smaller bounded part and better-conditioned numerics)
 _B_LATTICE = [0.25, 0.5, 1.0]
 _SAFETY = 0.9
 _MIN_MASS = 0.05
-# highest convolution power scanned for a component
-_N_MAX = 6
 
 
 @dataclass(frozen=True)
 class UniformComponent:
-    """A constant-density sub-measure of the n0-th convolution power on (a, a+b)."""
+    """A constant-density sub-measure of the interarrival law on (a, a+b)."""
 
-    n0: int
     a: float
     b: float
     mass: float
+    n0 = 1  # the convolution power holding the component: F itself
 
     @property
     def level(self) -> float:
@@ -63,13 +60,14 @@ class UniformComponent:
         return g
 
 
-def _scan_windows(density: np.ndarray, grid: Grid, mean: float) -> tuple[float, float, float] | None:
-    """Best (a, b, mass) over the candidate lattice, windows snapped to nodes."""
+def _scan_windows(density: np.ndarray, grid: Grid, scale: float, k: int) -> tuple[float, float, float] | None:
+    """Best (a, b, mass) over the windows of length {0.25, 0.5, 1} * scale
+    starting at (0.1 j) * scale, j = 0..40 * 2^k, windows snapped to nodes."""
     best = None
     for b_rel in _B_LATTICE:
-        b = b_rel * mean
-        for a_rel in _A_LATTICE:
-            a = a_rel * mean
+        b = b_rel * scale
+        for j in range((40 << k) + 1):
+            a = (0.1 * j) * scale
             if a + b >= grid.horizon:
                 continue
             ia, ib = grid.index_of(a), grid.index_of(a + b)
@@ -85,29 +83,28 @@ def _scan_windows(density: np.ndarray, grid: Grid, mean: float) -> tuple[float, 
     return best
 
 
-def _first_component(dist: Distribution, grid: Grid) -> tuple[UniformComponent, GridMeasure, GridMeasure]:
-    """The first component found, with the kernel F and the power F^{*n0} it sits in."""
+def _first_component(dist: Distribution, grid: Grid) -> tuple[UniformComponent, GridMeasure]:
+    """The first component found and F: windows in the scale mean / 2^k for
+    k = 0, 1, ... while the shortest window spans a grid step."""
     kernel = measure_from_distribution(dist, grid)
-    power = kernel
-    mean = dist.mean()
-    for n in range(1, _N_MAX + 1):
-        if n > 1:
-            power = convolve_measures(power, kernel)
-        best = _scan_windows(power.density, grid, mean)
+    scale, k = dist.mean(), 0
+    while True:
+        best = _scan_windows(kernel.density, grid, scale, k)
         if best is not None and best[2] >= _MIN_MASS:
-            a, b, mass = best
-            return UniformComponent(n, a, b, mass), kernel, power
-    raise NoComponentFoundError(
-        f"no uniform component of mass >= {_MIN_MASS} in powers 1..{_N_MAX}; "
-        "the grid is likely too coarse for the density scale"
-    )
+            return UniformComponent(*best), kernel
+        if 0.125 * scale < grid.step:
+            raise NoComponentFoundError(
+                f"no uniform component of mass >= {_MIN_MASS} in windows down to {0.25 * scale:g}; "
+                f"a shorter one would be under the grid step {grid.step:g}"
+            )
+        scale, k = 0.5 * scale, k + 1
 
 
 def find_uniform_component(dist: Distribution, grid: Grid) -> UniformComponent:
-    """First convolution power with a uniform component of mass >= 0.05.
+    """F's best uniform window of mass >= 0.05 at the coarsest scale holding one.
 
     The 0.9 safety factor on b * (minimum density over the window) keeps the
-    component strictly below the power's density despite grid interpolation.
+    component strictly below F's density despite grid interpolation.
     """
     return _first_component(dist, grid)[0]
 
@@ -119,7 +116,6 @@ class StoneDecomposition:
     component: UniformComponent
     phi2: GridMeasure
     phi1: GridFunction
-    phi0_2: GridMeasure
     phi: GridMeasure
     phi1_crosscheck_dev: float
     truncation_bound: float
@@ -128,43 +124,38 @@ class StoneDecomposition:
 def stone_decompose(dist: Distribution, grid: Grid) -> StoneDecomposition:
     """Decompose the renewal measure from a detected uniform component.
 
+    Phi2 = Phi0^(2), the sum of the powers of F - G0, is one Volterra solve.
     phi1 is defined by subtraction (so reconstruction is exact on the grid)
-    and cross-checked against the convolution form
-    Phi0^(2) * (Phi * g0); the sup relative deviation of the two routes is
-    reported on the result.
+    and cross-checked against the convolution form Phi0^(2) * (Phi * g0);
+    the sup relative deviation of the two routes is reported on the result.
     """
-    component, kernel, power = _first_component(dist, grid)
+    component, kernel = _first_component(dist, grid)
     g0 = component.grid_density(grid)
-    h_density = power.density - g0
+    h_density = kernel.density - g0
     worst = float(np.min(h_density))
     if worst < -1e-8:
         raise NegativeComponentError(
-            f"component exceeds the convolution power by {-worst:g}; inconsistent window"
+            f"component exceeds the interarrival density by {-worst:g}; inconsistent window"
         )
     np.clip(h_density, 0.0, None, out=h_density)
 
-    # Phi0^(2) = sum of convolution powers of H, via one Volterra pass
-    phi0_2 = GridMeasure(grid, 1.0, np.maximum(volterra_renewal_density(h_density, h_density, grid), 0.0))
-
-    phi2 = term = phi0_2
-    for _ in range(component.n0 - 1):
-        term = convolve_measures(term, kernel)
-        phi2 = GridMeasure(grid, phi2.atom0 + term.atom0, phi2.density + term.density)
-
+    phi2 = GridMeasure(grid, 1.0, np.maximum(volterra_renewal_density(h_density, h_density, grid), 0.0))
     phi = renewal_measure(dist, grid)
     phi1 = GridFunction(grid, phi.density - phi2.density)
 
-    alt = convolve_measure_function(phi0_2, convolve_measure_function(phi, GridFunction(grid, g0)))
+    alt = convolve_measure_function(phi2, convolve_measure_function(phi, GridFunction(grid, g0)))
     scale = max(float(np.max(np.abs(phi1.values))), 1e-300)
     crosscheck = float(np.max(np.abs(alt.values - phi1.values))) / scale
 
-    truncation = max(0.0, component.n0 / component.mass - phi2.total_mass())
-    return StoneDecomposition(component, phi2, phi1, phi0_2, phi, crosscheck, truncation)
+    truncation = max(0.0, 1.0 / component.mass - phi2.total_mass())
+    return StoneDecomposition(component, phi2, phi1, phi, crosscheck, truncation)
 
 
 def phi2_tail(dec: StoneDecomposition, x: float) -> float:
     """Upper estimate of Phi2([x, infinity)): in-horizon mass beyond x plus the
     truncation bound for whatever escaped the horizon."""
+    if np.isnan(x):
+        raise IntervalError(f"x = {x:g} is not a number")
     phi2 = dec.phi2
     if x <= 0.0:
         return phi2.total_mass() + dec.truncation_bound

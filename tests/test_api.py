@@ -130,7 +130,6 @@ FIELDS = [
 ]
 # fields that only the tests read, each kept for the reason given
 KEPT_FIELDS = {
-    "StoneDecomposition.phi0_2": "Stone's bounded part Phi0^(2), which the ROADMAP keeps; the mass-identity test reads it",
     "CouplingTrace.accepted_draw": "the pre-thinning pair that test_accepted_pair_is_product_uniform checks",
 }
 # the return annotations of every pinned function and public method

@@ -13,9 +13,10 @@ from renewal_lab import (
     convolve_measure_function,
     convolve_measures,
     measure_from_distribution,
+    renewal_measure,
     tv_distance,
 )
-from renewal_lab.errors import HorizonExceededError, IncompatibleGridsError, NotNormalizedError
+from renewal_lab.errors import HorizonExceededError, IncompatibleGridsError, IntervalError, NotNormalizedError
 from renewal_lab.grids import _convolve_densities, _middle_product, convolve_measure_function_at, inverse_cdf
 
 
@@ -378,6 +379,13 @@ class TestDistributionMeasures:
         m = measure_from_distribution(Exponential(1.0), grid)
         target = Exponential(1.0).cdf(3.0) - Exponential(1.0).cdf(1.0)
         assert m.interval_mass(1.0, 3.0) == pytest.approx(target, abs=1e-5)
+
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 3.0), (1.0, np.nan), (5.0, 1.0)])
+    def test_interval_mass_rejects_nan_and_reversed_endpoints(self, lo, hi):
+        # on gamma's Phi a NaN endpoint read NaN and (5, 1] read -1.966
+        phi = renewal_measure(Gamma(2.0, 1.0), Grid(0.02, 1000))
+        with pytest.raises(IntervalError, match=f"lo = {lo:g}, hi = {hi:g}"):
+            phi.interval_mass(lo, hi)
 
     def test_sampling_from_measure(self, rng):
         grid = Grid(0.005, 3000)

@@ -7,6 +7,7 @@ from renewal_lab import (
     Exponential,
     Gamma,
     Grid,
+    ShiftedPareto,
     Uniform,
     default_grid,
     find_uniform_component,
@@ -14,7 +15,7 @@ from renewal_lab import (
     stone_decompose,
 )
 from renewal_lab import stone
-from renewal_lab.errors import NegativeComponentError
+from renewal_lab.errors import IntervalError, NegativeComponentError, NoComponentFoundError
 from renewal_lab.grids import measure_from_distribution
 from renewal_lab.stone import _scan_windows
 
@@ -59,7 +60,31 @@ class TestFindComponent:
 
     def test_no_component_on_degenerate_density(self):
         grid = Grid(0.01, 1000)
-        assert _scan_windows(np.zeros(grid.n_nodes), grid, 1.0) is None
+        for k in range(3):
+            assert _scan_windows(np.zeros(grid.n_nodes), grid, 1.0 / 2**k, k) is None
+
+    @pytest.mark.parametrize(
+        "dist, window",
+        [
+            (Exponential(1.0), (0.0, 1.0, 0.3310908072820703)),
+            (Gamma(2.0, 1.0), (0.4, 2.0, 0.3919048240674665)),
+            (Uniform(0.0, 2.0), (0.0, 1.0, 0.45)),
+            (ShiftedPareto(3.5, 1.0), (0.0, 0.2, 0.2773464824826562)),
+        ],
+        ids=["exponential", "gamma", "uniform", "shifted-pareto"],
+    )
+    def test_default_kinds_keep_the_mean_scale_window(self, dist, window):
+        # the first scale is the mean: the four kinds' windows, float for float
+        c = find_uniform_component(dist, default_grid(dist))
+        assert (c.n0, c.a, c.b, c.mass) == (1, *window)
+
+    def test_window_under_two_grid_steps_raises(self):
+        # uniform(1, 1.01) is two steps of the default grid wide: every window
+        # of two or more nodes meets a zero of the density
+        d = Uniform(1.0, 1.01)
+        grid = default_grid(d)
+        with pytest.raises(NoComponentFoundError, match=f"grid step {grid.step:g}"):
+            find_uniform_component(d, grid)
 
     def test_grid_density_mass_is_exact(self, dist):
         grid = grid_for(dist, 30.0)
@@ -78,17 +103,17 @@ class TestDecomposition:
         assert dec.phi2.atom0 == dec.phi.atom0  # the atom lives in the bounded part
 
     def test_bounded_part_mass_identity(self):
-        # closed form: total mass of the bounded part is n0 / component mass.
+        # closed form: total mass of the bounded part is 1 / component mass.
         # kinds with a density jump at 0 (exponential) carry an O(h^2) corner
         # defect in the discrete mass algebra; the others are exact up to the
         # geometric-series truncation beyond the horizon
         for dist, tol in [(Gamma(2.0, 1.0), 1e-9), (Uniform(0.0, 2.0), 1e-7), (Exponential(1.0), 1e-5)]:
             dec = stone_decompose(dist, grid_for(dist))
             c = dec.component
-            assert dec.phi2.total_mass() == pytest.approx(c.n0 / c.mass, rel=tol)
+            assert dec.phi2.total_mass() == pytest.approx(1.0 / c.mass, rel=tol)
 
     def test_remainder_mass_complements_component(self):
-        # mass(H) = in-horizon mass of the power minus the component mass, exactly
+        # mass(H) = in-horizon mass of F minus the component mass, exactly
         for dist in [Exponential(1.0), Gamma(2.0, 1.0), Uniform(0.0, 2.0)]:
             grid = grid_for(dist)
             dec = stone_decompose(dist, grid)
@@ -97,23 +122,29 @@ class TestDecomposition:
             # these kinds put all but ~1e-30 of their mass inside the horizon
             assert h_mass == pytest.approx(1.0 - dec.component.mass, abs=1e-8)
             tol = 1e-5 if dist.kind == "exponential" else 1e-7
-            assert dec.phi0_2.total_mass() == pytest.approx(1.0 / dec.component.mass, rel=tol)
+            assert dec.phi2.total_mass() == pytest.approx(1.0 / dec.component.mass, rel=tol)
 
-    def test_component_in_the_second_power(self):
-        # uniform(1, 1.2) is narrower than the smallest window (0.275), so the
-        # component sits in F*F and Phi2 adds the n0 - 1 = 1 term Phi0^(2) * F
-        d = Uniform(1.0, 1.2)
-        dec = stone_decompose(d, default_grid(d))
+    @pytest.mark.parametrize(
+        "d, horizon_means",
+        [(Uniform(1.0, 1.2), 20.0), (Uniform(1.0, 1.1), 20.0), (Uniform(1.0, 1.05), 20.0), (Gamma(2000.0, 2000.0), 100.0)],
+        ids=["uniform-1.2", "uniform-1.1", "uniform-1.05", "gamma-2000"],
+    )
+    def test_narrow_law_component_in_the_law_itself(self, d, horizon_means):
+        # narrower than the mean-scaled windows: the scan refines its scale
+        # until a window fits, so the component sits in F and Phi2 = Phi0^(2).
+        # The uniforms' remainders are light, so their mass gap is at rounding
+        # by 100 means; 20 means keeps it measurable
+        dec = stone_decompose(d, default_grid(d, horizon_means))
         c = dec.component
-        assert c.n0 == 2
+        assert c.n0 == 1
         recon = dec.phi1.values + dec.phi2.density - dec.phi.density
         assert np.max(np.abs(recon)) / np.max(np.abs(dec.phi.density)) <= 1e-12
         assert dec.phi1_crosscheck_dev <= 1e-12
-        # the mass identity misses only the mass of Phi2 beyond the horizon
-        # (4e-5 at 100 means), so doubling the horizon shrinks the gap >= 1000x
-        far = stone_decompose(d, default_grid(d, 200.0))
+        # the mass identity misses only the mass of Phi2 beyond the horizon,
+        # which decays geometrically, so doubling the horizon shrinks the gap >= 1000x
+        far = stone_decompose(d, default_grid(d, 2.0 * horizon_means))
         assert far.component == c
-        gaps = [abs(x.phi2.total_mass() - c.n0 / c.mass) for x in (dec, far)]
+        gaps = [abs(x.phi2.total_mass() - 1.0 / c.mass) for x in (dec, far)]
         assert gaps[1] <= 1e-3 * gaps[0]
 
     def test_density_converges_to_rate(self, dist):
@@ -128,18 +159,18 @@ class TestDecomposition:
         assert dec.phi1_crosscheck_dev <= 1e-4
 
     def test_density_is_bounded_by_window_estimate(self, dist):
-        # sup phi1 <= level * Phi([0, b]) * mass(Phi0^(2)) plus slack
+        # sup phi1 <= level * Phi([0, b]) * mass(Phi2) plus slack
         grid = grid_for(dist)
         dec = stone_decompose(dist, grid)
         c = dec.component
-        bound = c.level * dec.phi.interval_mass(-1.0, c.b) * dec.phi0_2.total_mass()
+        bound = c.level * dec.phi.interval_mass(-1.0, c.b) * dec.phi2.total_mass()
         assert float(np.max(dec.phi1.values)) <= bound * (1.0 + 1e-6) + 1e-9
 
     def test_inconsistent_component_rejected(self, monkeypatch):
         d = Gamma(2.0, 1.0)
         grid = grid_for(d, 30.0)
         # a window whose level (0.75) sits above the density
-        monkeypatch.setattr(stone, "_scan_windows", lambda density, grid, mean: (0.4, 2.0, 1.5))
+        monkeypatch.setattr(stone, "_scan_windows", lambda density, grid, scale, k: (0.4, 2.0, 1.5))
         with pytest.raises(NegativeComponentError):
             stone_decompose(d, grid)
 
@@ -152,6 +183,13 @@ class TestPhi2Tail:
     def test_beyond_horizon_only_truncation_bound(self, dist):
         dec = stone_decompose(dist, grid_for(dist))
         assert phi2_tail(dec, dec.phi2.grid.horizon + 1.0) == dec.truncation_bound
+
+    def test_nan_point_raises(self):
+        # a NaN x read NaN through the interpolation
+        d = Gamma(2.0, 1.0)
+        dec = stone_decompose(d, grid_for(d, 30.0))
+        with pytest.raises(IntervalError, match="x = nan"):
+            phi2_tail(dec, math.nan)
 
     def test_monotone_nonincreasing(self, dist):
         dec = stone_decompose(dist, grid_for(dist))
