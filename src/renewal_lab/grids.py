@@ -305,38 +305,45 @@ def inverse_cdf(measure: GridMeasure, u: np.ndarray, mass: float) -> np.ndarray:
     return np.where(u <= cum[0], 0.0, np.interp(u, cum, measure.grid.nodes()))
 
 
+def _plateau(grid: Grid, lo: float, hi: float, level: float) -> np.ndarray:
+    """level * 1[lo, hi] on the nodes: node k carries level * int phi_k 1[lo, hi]
+    over its trapezoid weight, phi_k the hat at node k, hi clipped at the horizon.
+
+    The hats sum to 1 and interpolate x, so the trapezoid mass is
+    level * (min(hi, T) - lo) and the mean is the plateau's, at every width.
+    An edge within 1e-9 node units of a node is that node and the half-hat
+    integrals are factored, so covered nodes carry level exactly, an edge on
+    a node level / 2 (level at node 0), and no entry rounds below 0.
+    """
+    edges = np.clip(np.array([lo, hi]) / grid.step, 0.0, grid.count)
+    nearest = np.rint(edges)
+    u_lo, u_hi = np.where(np.abs(edges - nearest) <= 1e-9, nearest, edges)
+    # the hats that meet [lo, hi], and the covered part of each half hat as
+    # positions within its cell
+    first, last = int(u_lo), int(np.ceil(u_hi))
+    k = np.arange(first, last + 1)
+    l0, l1 = (np.clip(u - k + 1.0, 0.0, 1.0) for u in (u_lo, u_hi))
+    r0, r1 = (np.clip(u - k, 0.0, 1.0) for u in (u_lo, u_hi))
+    cover = np.zeros(grid.n_nodes)
+    cover[first : last + 1] = (l1 - l0) * (l1 + l0) / 2.0 + (r1 - r0) * (1.0 - (r0 + r1) / 2.0)
+    cover[[0, -1]] *= 2.0
+    return level * cover
+
+
 def measure_from_distribution(dist: Distribution, grid: Grid) -> GridMeasure:
     """Grid realization of an interarrival law F restricted to [0, horizon].
 
     The density is sampled at the nodes and then rescaled so its trapezoidal
     mass equals F(horizon) exactly; without that correction the O(h^2)
     quadrature bias of the sampled density leaks into every renewal-series
-    mass identity downstream.  Uniform laws instead get their two jump nodes
-    adjusted locally, which conserves mass cell-by-cell and keeps interior
-    node values exact for window scans.
+    mass identity downstream.  A uniform law is instead its plateau's hat
+    projection ``_plateau``, whose mass and mean are exact at every width
+    and whose covered nodes keep the exact level for window scans.
     """
-    xs = grid.nodes()
-    h = grid.step
     if isinstance(dist, Uniform):
-        density = np.asarray(dist.density(xs), dtype=float).copy()
-        level = 1.0 / (dist.hi - dist.lo)
-        for edge, rising in ((dist.lo, True), (dist.hi, False)):
-            if edge <= 0.0 or edge >= grid.horizon:
-                continue
-            if rising:
-                k = int(np.ceil(edge / h - 1e-9))  # first node >= edge
-                if 1 <= k < grid.count:
-                    density[k] = level * (xs[k + 1] - edge) / h - 0.5 * level
-                    density[:k] = 0.0
-            else:
-                k = int(np.floor(edge / h + 1e-9))  # last node <= edge
-                if 1 <= k < grid.count:
-                    density[k] = level * (edge - xs[k - 1]) / h - 0.5 * level
-                    density[k + 1 :] = 0.0
-        np.clip(density, 0.0, None, out=density)
-        return GridMeasure(grid, 0.0, density)
-    density = np.asarray(dist.density(xs), dtype=float)
-    raw_mass = float(np.trapezoid(density, dx=h))
+        return GridMeasure(grid, 0.0, _plateau(grid, dist.lo, dist.hi, 1.0 / (dist.hi - dist.lo)))
+    density = np.asarray(dist.density(grid.nodes()), dtype=float)
+    raw_mass = float(np.trapezoid(density, dx=grid.step))
     target = float(dist.cdf(grid.horizon))
     if raw_mass > 0.0:
         density = density * (target / raw_mass)

@@ -2,10 +2,10 @@
 an absolutely continuous part with density converging to the renewal rate.
 
 The construction detects a uniform sub-component of the interarrival law
-itself, in windows that shrink with the law's scale, subtracts it, and
-resolves the remainder by one Volterra solve; because the discrete
-trapezoidal convolution algebra is associative, the defining identities
-hold on the grid to rounding error, not just O(h^2).
+itself, in windows that shrink with the law's scale, subtracts it as the
+``grids`` plateau rule and resolves the remainder by one Volterra solve;
+because the discrete trapezoidal convolution algebra is associative, the
+defining identities hold on the grid to rounding error, not just O(h^2).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .grids import (
     Grid,
     GridFunction,
     GridMeasure,
+    _plateau,
     convolve_measure_function,
     measure_from_distribution,
 )
@@ -48,38 +49,28 @@ class UniformComponent:
     def level(self) -> float:
         return self.mass / self.b
 
-    def grid_density(self, grid: Grid) -> np.ndarray:
-        """Node realization with half-level edge nodes so the trapezoidal mass
-        is exactly ``mass`` (a plateau sampled naively would carry level*(b+h))."""
-        ia, ib = grid.index_of(self.a), grid.index_of(self.a + self.b)
-        g = np.zeros(grid.n_nodes)
-        g[ia : ib + 1] = self.level
-        g[ib] = 0.5 * self.level
-        if ia > 0:
-            g[ia] = 0.5 * self.level
-        return g
-
 
 def _scan_windows(density: np.ndarray, grid: Grid, scale: float, k: int) -> tuple[float, float, float] | None:
     """Best (a, b, mass) over the windows of length {0.25, 0.5, 1} * scale
-    starting at (0.1 j) * scale, j = 0..40 * 2^k, windows snapped to nodes."""
+    starting at (0.1 j) * scale, j = 0..40 * 2^k, windows snapped to nodes:
+    the first strict maximum in that order, one array pass per length."""
     best = None
+    starts = (0.1 * np.arange((40 << k) + 1)) * scale
+    # a sentinel past the last node, so the window bounds ib + 1 index into it
+    padded = np.append(density, np.inf)
     for b_rel in _B_LATTICE:
         b = b_rel * scale
-        for j in range((40 << k) + 1):
-            a = (0.1 * j) * scale
-            if a + b >= grid.horizon:
-                continue
-            ia, ib = grid.index_of(a), grid.index_of(a + b)
-            if ib <= ia:
-                continue
-            a_snap, b_snap = ia * grid.step, (ib - ia) * grid.step
-            level = float(np.min(density[ia : ib + 1]))
-            mass = _SAFETY * b_snap * level
-            if mass <= 0.0:
-                continue
-            if best is None or mass > best[2]:
-                best = (a_snap, b_snap, mass)
+        a = starts[starts + b < grid.horizon]
+        # Grid.index_of's rounding: np.rint and round both go half to even
+        ia, ib = np.rint(a / grid.step).astype(int), np.rint((a + b) / grid.step).astype(int)
+        ia, ib = ia[ib > ia], ib[ib > ia]
+        if ia.size == 0:
+            continue
+        level = np.minimum.reduceat(padded, np.stack((ia, ib + 1), axis=1).ravel())[::2]
+        mass = _SAFETY * ((ib - ia) * grid.step) * level
+        i = int(np.argmax(mass))
+        if mass[i] > 0.0 and (best is None or mass[i] > best[2]):
+            best = (float(ia[i] * grid.step), float((ib[i] - ia[i]) * grid.step), float(mass[i]))
     return best
 
 
@@ -130,7 +121,7 @@ def stone_decompose(dist: Distribution, grid: Grid) -> StoneDecomposition:
     the sup relative deviation of the two routes is reported on the result.
     """
     component, kernel = _first_component(dist, grid)
-    g0 = component.grid_density(grid)
+    g0 = _plateau(grid, component.a, component.a + component.b, component.level)
     h_density = kernel.density - g0
     worst = float(np.min(h_density))
     if worst < -1e-8:

@@ -17,7 +17,7 @@ from renewal_lab import (
     tv_distance,
 )
 from renewal_lab.errors import HorizonExceededError, IncompatibleGridsError, IntervalError, NotNormalizedError
-from renewal_lab.grids import _convolve_densities, _middle_product, convolve_measure_function_at, inverse_cdf
+from renewal_lab.grids import _convolve_densities, _middle_product, _plateau, convolve_measure_function_at, inverse_cdf
 
 
 def _convolve_densities_direct(a, b, step):
@@ -373,6 +373,48 @@ class TestDistributionMeasures:
         x = grid.nodes()
         # cumulative tracks the true CDF within one cell of each edge
         assert np.max(np.abs(cum - d.cdf(x))) < 1.5 * grid.step
+
+    @pytest.mark.parametrize("width", [0.2, 0.9, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("lo", [1.0031, 0.9992], ids=["off-node", "straddling"])
+    def test_narrow_uniform_keeps_mass_and_mean(self, width, lo):
+        # widths in grid steps; both jumps may fall in one cell, where two
+        # per-edge corrections of one node lost a quarter of the mass
+        grid = Grid(0.01, 400)
+        d = Uniform(lo, lo + width * grid.step)
+        m = measure_from_distribution(d, grid)
+        weights = m.trapezoid_weights(grid.count)
+        assert float(np.sum(weights)) == pytest.approx(1.0, abs=1e-12)
+        assert float(weights @ grid.nodes()) == pytest.approx(d.mean(), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "step, ia, ib",
+        [(0.005, 0, 400), (0.005, 140, 240), (0.16666666666666669, 40, 240), (1.0 / 123.0, 0, 123)],
+        ids=["uniform-0-2", "gamma-10-10", "gamma-2-0.06", "exponential-123-per-mean"],
+    )
+    def test_plateau_with_edges_on_nodes_is_exact(self, step, ia, ib):
+        # Stone's windows (edges ia * h and ia * h + (ib - ia) * h), several an
+        # ulp off their node in node units: covered nodes carry the level
+        # exactly, an edge half of it, all of it at node 0
+        grid = Grid(step, 1000)
+        level = 1.0 / 2.2
+        g = _plateau(grid, ia * step, ia * step + (ib - ia) * step, level)
+        expected = np.zeros(grid.n_nodes)
+        expected[ia : ib + 1] = level
+        expected[ib] = 0.5 * level
+        if ia > 0:
+            expected[ia] = 0.5 * level
+        assert np.array_equal(g, expected)
+
+    @pytest.mark.parametrize("lo, hi", [(0.37, 1.91), (0.1234, 0.9876)])
+    def test_uniform_renewal_mass_error_is_second_order(self, lo, hi):
+        # Phi([0, 20 means]) at 100..800 points per mean: with off-node jumps
+        # the error quarters with each halving of h, so successive
+        # differences fall by 4 (they jumped in sign and size before)
+        d = Uniform(lo, hi)
+        masses = [renewal_measure(d, Grid(d.mean() / p, 20 * p)).total_mass() for p in (100, 200, 400, 800)]
+        diffs = np.diff(masses)
+        ratios = diffs[:-1] / diffs[1:]
+        assert np.all((3.9 <= ratios) & (ratios <= 4.1)), ratios
 
     def test_cumulative_and_interval_mass(self):
         grid = Grid(0.01, 1000)

@@ -7,6 +7,7 @@ from renewal_lab import (
     Exponential,
     Gamma,
     Grid,
+    GridMeasure,
     ShiftedPareto,
     Uniform,
     default_grid,
@@ -16,8 +17,27 @@ from renewal_lab import (
 )
 from renewal_lab import stone
 from renewal_lab.errors import IntervalError, NegativeComponentError, NoComponentFoundError
-from renewal_lab.grids import measure_from_distribution
+from renewal_lab.grids import _plateau, measure_from_distribution
 from renewal_lab.stone import _scan_windows
+
+
+def _scan_windows_loop(density, grid, scale, k):
+    """Oracle: ``stone._scan_windows`` as one window at a time, in its order."""
+    best = None
+    for b_rel in stone._B_LATTICE:
+        b = b_rel * scale
+        for j in range((40 << k) + 1):
+            a = (0.1 * j) * scale
+            if a + b >= grid.horizon:
+                continue
+            ia, ib = grid.index_of(a), grid.index_of(a + b)
+            if ib <= ia:
+                continue
+            level = float(np.min(density[ia : ib + 1]))
+            mass = stone._SAFETY * ((ib - ia) * grid.step) * level
+            if mass > 0.0 and (best is None or mass > best[2]):
+                best = (ia * grid.step, (ib - ia) * grid.step, mass)
+    return best
 
 
 def grid_for(dist, horizon_means=60.0, points_per_mean=200):
@@ -78,19 +98,37 @@ class TestFindComponent:
         c = find_uniform_component(dist, default_grid(dist))
         assert (c.n0, c.a, c.b, c.mass) == (1, *window)
 
-    def test_window_under_two_grid_steps_raises(self):
-        # uniform(1, 1.01) is two steps of the default grid wide: every window
-        # of two or more nodes meets a zero of the density
+    def test_window_under_two_grid_steps_raises(self, monkeypatch):
+        # a kernel with no positive window: the scan halves its scale until
+        # the shortest window would be under one grid step, then names it
         d = Uniform(1.0, 1.01)
         grid = default_grid(d)
+        monkeypatch.setattr(stone, "measure_from_distribution", lambda dist, g: GridMeasure(g, 0.0, np.zeros(g.n_nodes)))
         with pytest.raises(NoComponentFoundError, match=f"grid step {grid.step:g}"):
             find_uniform_component(d, grid)
 
     def test_grid_density_mass_is_exact(self, dist):
         grid = grid_for(dist, 30.0)
         comp = find_uniform_component(dist, grid)
-        g0 = comp.grid_density(grid)
+        g0 = _plateau(grid, comp.a, comp.a + comp.b, comp.level)
         assert float(np.trapezoid(g0, dx=grid.step)) == pytest.approx(comp.mass, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "d",
+        [Exponential(1.0), Gamma(2.0, 1.0), Uniform(0.0, 2.0), ShiftedPareto(3.5, 1.0), Gamma(2000.0, 2000.0)]
+        + [Uniform(1.0, hi) for hi in (1.2, 1.05, 1.02, 1.01)],
+        ids=["exponential", "gamma", "uniform", "shifted-pareto", "gamma-2000"]
+        + [f"uniform-{hi}" for hi in (1.2, 1.05, 1.02, 1.01)],
+    )
+    def test_scan_matches_window_loop(self, d):
+        # every scale down to the grid step, not only the scales the scan stops at
+        grid = default_grid(d)
+        density = measure_from_distribution(d, grid).density
+        scale, k = d.mean(), 0
+        while 0.25 * scale >= grid.step:
+            assert _scan_windows(density, grid, scale, k) == _scan_windows_loop(density, grid, scale, k)
+            scale, k = 0.5 * scale, k + 1
+        assert k >= 5
 
 
 class TestDecomposition:
@@ -126,8 +164,14 @@ class TestDecomposition:
 
     @pytest.mark.parametrize(
         "d, horizon_means",
-        [(Uniform(1.0, 1.2), 20.0), (Uniform(1.0, 1.1), 20.0), (Uniform(1.0, 1.05), 20.0), (Gamma(2000.0, 2000.0), 100.0)],
-        ids=["uniform-1.2", "uniform-1.1", "uniform-1.05", "gamma-2000"],
+        [
+            (Uniform(1.0, 1.2), 20.0),
+            (Uniform(1.0, 1.1), 20.0),
+            (Uniform(1.0, 1.05), 20.0),
+            (Uniform(1.0, 1.01), 20.0),
+            (Gamma(2000.0, 2000.0), 100.0),
+        ],
+        ids=["uniform-1.2", "uniform-1.1", "uniform-1.05", "uniform-1.01", "gamma-2000"],
     )
     def test_narrow_law_component_in_the_law_itself(self, d, horizon_means):
         # narrower than the mean-scaled windows: the scan refines its scale
