@@ -265,31 +265,40 @@ def check_compensator(dist: Distribution, blocks, mults) -> list[CheckResult]:
     ]
 
 
-def krt_fit(curve: DecayCurve, window: tuple[float, float], floor: float) -> SlopeFit | None:
-    """The limit-error slope fit, or None when too few points clear the floor."""
-    try:
-        return fit_slope(curve, window, floor=floor)
-    except InsufficientPointsError:
-        return None
+def krt_rate_fits(dist: Distribution, r_z: float, grid: Grid, xs) -> tuple[list[DecayCurve], list[SlopeFit | None]]:
+    """The limit-error curves for z = (1+y)^-r at ``xs`` on ``grid`` and on
+    its refinement to h/2, and their slope fits over (xs[0], xs[-1]), a fit
+    None when fewer than five points clear its floor.  The floors come from
+    the pair: d = max |err_h - err_{h/2}| is about (3/4) of the bias at h, so
+    4d at h and d at h/2 are 3x the bias each implies."""
+    z_fn = lambda y: (1.0 + np.asarray(y)) ** (-r_z)
+    curves = [
+        krt_error_curve(dist, z_fn, r_z, xs, phi=renewal_measure(dist, g))
+        for g in (grid, Grid(grid.step / 2.0, 2 * grid.count))
+    ]
+    diff = float(np.max(np.abs(curves[0].errs - curves[1].errs)))
+    fits = []
+    for curve, floor in zip(curves, (4.0 * diff, diff)):
+        try:
+            fits.append(fit_slope(curve, (xs[0], xs[-1]), floor=floor))
+        except InsufficientPointsError:
+            fits.append(None)
+    return curves, fits
 
 
 def check_krt_slopes(dist: Distribution, r_z: float, fits, q: float = 2.0) -> CheckResult:
     """The limit error for z = (1+y)^-r decays with fitted slope <= max(1 - r, -q) + 0.3.
 
-    ``fits`` holds the fit at h and, for criterion 8, at h/2; a missing fit
+    ``fits`` holds the fits at h and h/2 of ``krt_rate_fits``; a missing fit
     (too few points above the floor) fails the check.
     """
     bound = max(1.0 - r_z, -q) + 0.3
-    slopes = [math.nan if f is None else f.slope for f in fits]
-    req = f"slope <= {bound:g}"
-    if len(fits) == 2:
-        req = f"both slopes <= {bound:g}; verdict stable under h -> h/2"
     return CheckResult(
         8,
         f"limit-error slope, {dist.kind}, z=(1+y)^-{r_z:g}",
         all(f is not None and f.slope <= bound for f in fits),
-        dict(zip(("slope_h", "slope_h_half"), slopes)),
-        req,
+        dict(zip(("slope_h", "slope_h_half"), (math.nan if f is None else f.slope for f in fits))),
+        f"both slopes <= {bound:g}; verdict stable under h -> h/2",
     )
 
 
@@ -468,25 +477,14 @@ _KRT_CELLS = (
 )
 
 
-def _krt_cell_fits(dist: Distribution, r_z: float, ppm: int):
-    """Slope fits at resolution h and h/2 with Richardson floors from the pair."""
-    mean = dist.mean()
-    z_fn = lambda y: (1.0 + np.asarray(y)) ** (-r_z)
-    xs = np.geomspace(20.0 * mean, 80.0 * mean, 24)
-    curves = {}
-    for factor in (1, 2):
-        grid = Grid(mean / (ppm * factor), ppm * factor * 86)
-        phi = renewal_measure(dist, grid)
-        curves[factor] = krt_error_curve(dist, z_fn, r_z, xs, phi=phi)
-    diff = float(np.max(np.abs(curves[1].errs - curves[2].errs)))
-    # |err_h - err_{h/2}| ~ (3/4) bias_h: floors are 3x the implied bias
-    floors = {1: 4.0 * diff, 2: 1.0 * diff}
-    return [krt_fit(curves[f], (20.0 * mean, 80.0 * mean), floors[f]) for f in (1, 2)]
-
-
 def criterion_8_krt_rates(seed: int) -> list[CheckResult]:
     """Power-law error rates of the renewal-convolution limit, stable under h/2."""
-    return [check_krt_slopes(dist, r_z, _krt_cell_fits(dist, r_z, ppm)) for dist, r_z, ppm in _KRT_CELLS]
+    out = []
+    for dist, r_z, ppm in _KRT_CELLS:
+        m = dist.mean()
+        _, fits = krt_rate_fits(dist, r_z, Grid(m / ppm, ppm * 86), np.geomspace(20.0 * m, 80.0 * m, 24))
+        out.append(check_krt_slopes(dist, r_z, fits))
+    return out
 
 
 def criterion_9_tv_rates(seed: int) -> list[CheckResult]:

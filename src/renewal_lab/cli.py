@@ -32,10 +32,9 @@ from .acceptance import (
     check_linear_solution,
     check_rootzen_shrinks,
     check_stone_split,
-    krt_fit,
+    krt_rate_fits,
     run_acceptance,
 )
-from .asymptotics import krt_error_curve
 from .compensator import _rootzen_error, simulate_paths
 from .coupling import find_common_component, simulate_coupling
 from .distributions import _config_number, distribution_from_config
@@ -464,16 +463,22 @@ def krt(runner: Runner, cfg: dict):
     if hi >= grid.horizon:
         raise ConfigError("grid.horizon", f"must exceed the fit window end {hi:g}")
     xs = np.geomspace(lo, hi, _read(cfg, "n_points", 24))
-    measure = renewal_measure(dist, grid)
-    z_fn = lambda y: (1.0 + np.asarray(y)) ** (-r_z)
-    curve = krt_error_curve(dist, z_fn, r_z, xs, phi=measure)
+    # the points are read at h and at h/2, and each needs a positive node of its own on both
+    # grids: distinct nodes at h do not imply distinct nodes at h/2
+    for g in (grid, Grid(grid.step / 2.0, 2 * grid.count)):
+        nodes = [g.index_of(float(x)) for x in xs]
+        if nodes[0] == 0:
+            raise ConfigError("window_lo_means", f"the window start {lo:g} snaps to node 0 at step {g.step:g}")
+        if any(b <= a for a, b in zip(nodes, nodes[1:])):
+            raise ConfigError("n_points", f"{len(xs)} points in [{lo:g}, {hi:g}] share a node at step {g.step:g}")
+    (curve, _), fits = krt_rate_fits(dist, r_z, grid, xs)
     runner.write_rows("krt_curve.csv", "x,err", zip(curve.xs, curve.errs))
-    fit = krt_fit(curve, (lo, hi), _read(cfg, "floor", 0.0))
+    fit = fits[0]
     if fit is not None:
         runner.write_json(
             "krt_fit.json", {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2, "n_points": fit.n_points}
         )
-    runner.check(check_krt_slopes(dist, r_z, [fit], q))
+    runner.check(check_krt_slopes(dist, r_z, fits, q))
 
 
 @_subcommand()
@@ -484,9 +489,9 @@ def rootzen(runner: Runner, cfg: dict):
     if statistic not in ("max-xi", "max-tau"):
         raise ConfigError("statistic", f'expected "max-xi" or "max-tau", got {statistic!r}')
     t_list = _read(cfg, "T_list", [20.0, 200.0])
-    # a shrinking error needs two horizons, and paths need a horizon > 0
-    if len(t_list) < 2 or min(t_list) <= 0.0:
-        raise ConfigError("T_list", f"expected two or more positive horizons, got {t_list}")
+    # a shrinking error needs two horizons in the order the check reads them, and paths need a horizon > 0
+    if len(t_list) < 2 or min(t_list) <= 0.0 or any(b <= a for a, b in zip(t_list, t_list[1:])):
+        raise ConfigError("T_list", f"expected two or more positive horizons, strictly increasing, got {t_list}")
     n_paths = _read(cfg, "n_paths", 2000)
     try:
         runs = [_rootzen_error(dist, T, n_paths, statistic, _stream(runner.seed, 0, j)) for j, T in enumerate(t_list)]

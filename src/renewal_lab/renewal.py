@@ -165,16 +165,16 @@ def solve_renewal_equation(dist: Distribution, forcing: GridFunction) -> Renewal
     kernel = measure_from_distribution(dist, grid)
     values = volterra_renewal_density(kernel.density, forcing.values, grid)
     Z = GridFunction(grid, values)
-    conv = convolve_measure_function(GridMeasure(grid, 0.0, kernel.density), Z)
+    conv = convolve_measure_function(kernel, Z)
     residual = float(np.max(np.abs(values - forcing.values - conv.values)))
     return RenewalSolution(Z, residual)
 
 
 def linear_forcing(dist: Distribution, grid: Grid) -> GridFunction:
     """The forcing z(t) = m int_0^t (1 - F(x)) dx whose solution is exactly m t,
-    built by trapezoidal cumulative integration of m * survival."""
-    g = dist.rate() * (1.0 - np.asarray(dist.cdf(grid.nodes()), dtype=float))
-    return GridFunction(grid, GridMeasure(grid, 0.0, g).cumulative())
+    built by trapezoidal cumulative integration of the stationary delay density."""
+    pi = dist.stationary_delay_density(grid.nodes())
+    return GridFunction(grid, GridMeasure(grid, 0.0, pi).cumulative())
 
 
 def _check_steps_match(x_grid: Grid, phi: GridMeasure) -> None:

@@ -3,8 +3,9 @@ top level re-exports exactly their union, and every pinned function, every
 public method of a pinned class and every field of a pinned dataclass is named
 by code outside the tests.  Source scans also pin the one home of the FFT
 and of np.convolve, ``grids._middle_product``, of the generators,
-``acceptance._stream``, and of a measure's trapezoid weights,
-``GridMeasure.trapezoid_weights``.
+``acceptance._stream``, of a measure's trapezoid weights,
+``GridMeasure.trapezoid_weights``, and of the limit-error read,
+``acceptance.krt_rate_fits``.
 
 A reader is ``cli.py``, ``acceptance.py``, the benchmark harness
 (``perfbench/*.py``) or another library module; a method or
@@ -222,6 +223,9 @@ STREAM_CALLS = re.compile(r"\b(?:default_rng|SeedSequence)\b")
 # the rule that a density or CDF is 0 below 0 (ROADMAP aim 2)
 BELOW_ZERO_RULE = re.compile(r"np\.where\(x < 0|np\.maximum\(x, 0")
 
+# a read of the limit error, not the function's own definition (ROADMAP aim 2)
+LIMIT_ERROR_CALLS = re.compile(r"(?<!def )\bkrt_error_curve\(")
+
 
 def test_one_trapezoidal_product():
     # every FFT and np.convolve of the package is in grids._middle_product
@@ -245,3 +249,9 @@ def test_one_weight_rule():
 def test_one_below_zero_rule():
     # every law's formulas are bare on x >= 0: the rule lives in distributions._on_support
     assert not _calls_outside(BELOW_ZERO_RULE, "distributions.py", "_on_support")
+
+
+def test_one_limit_error_slope_check():
+    # criterion 8 and CLI krt read the limit error, at h and h/2 with the
+    # Richardson floors, only through acceptance.krt_rate_fits
+    assert not _calls_outside(LIMIT_ERROR_CALLS, "acceptance.py", "krt_rate_fits")

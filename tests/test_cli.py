@@ -33,6 +33,12 @@ def runner():
     return CliRunner()
 
 
+@pytest.fixture(scope="module")
+def criterion_8():
+    """Criterion 8's checks by label."""
+    return {r.label: r for r in CRITERIA[8](DEFAULT_SEED)}
+
+
 BASE = {
     "distribution": {"kind": "exponential", "rate": 1.0},
     "grid": {"h": 0.01, "horizon": 30.0},
@@ -130,6 +136,8 @@ _BAD_NUMBERS = {
     "n-paths-negative": ("compensator", {"n_paths": -5}, "n_paths"),
     "t-list-one-horizon": ("rootzen", {"T_list": [20.0]}, "T_list"),
     "t-list-negative": ("rootzen", {"T_list": [-5.0, 20.0]}, "T_list"),
+    # the check reads the error as shrinking along the list, so the horizons must grow
+    "t-list-reversed": ("rootzen", {"T_list": [200.0, 20.0]}, "T_list"),
     "statistic-unknown": ("rootzen", {"statistic": "max-foo"}, "statistic"),
     "statistic-number": ("rootzen", {"statistic": 5}, "statistic"),
     "forcing-string": ("solve", {"forcing": "linear"}, "forcing"),
@@ -142,6 +150,24 @@ _BAD_NUMBERS = {
     # a q <= 0 is no moment order, and its slope bound would pass a growing error
     "krt-q-negative": ("krt", {"q": -5}, "q"),
     "krt-q-zero": ("krt", {"q": 0}, "q"),
+    # the limit error is read at h and h/2, and every point needs a positive node of its own on both grids
+    "krt-points-share-a-node": (
+        "krt",
+        {"distribution": {"kind": "gamma", "shape": 2.0, "rate": 1.0}, "grid": {"h": 0.05, "horizon": 200.0},
+         "n_points": 5000},
+        "n_points",
+    ),
+    # 1.3 and 1.6 snap to nodes 1 and 2 at h = 1, and both to node 3 at h/2
+    "krt-points-share-a-node-at-half-step": (
+        "krt",
+        {"grid": {"h": 1.0, "horizon": 10.0}, "window_lo_means": 1.3, "window_hi_means": 1.6, "n_points": 2},
+        "n_points",
+    ),
+    "krt-point-at-node-zero": (
+        "krt",
+        {"window_lo_means": 0.001, "window_hi_means": 20.0, "n_points": 2},
+        "window_lo_means",
+    ),
     # the cycle-max law of a bounded interarrival law has no max-tau approximation
     "max-tau-bounded-law": (
         "rootzen",
@@ -430,13 +456,44 @@ class TestSubcommands:
             "grid": {"h": 0.0025, "horizon": 86.0},
             "seed": 5,
             "z_exponent": 2.0,
-            "floor": 1e-5,
         }
         cfg = write_config(tmp_path, "c.json", payload)
         res = runner.invoke(main, ["krt", "--config", cfg, "--out", str(tmp_path / "o"), "--strict"])
         assert res.exit_code == 0, res.output
         fit = json.loads((tmp_path / "o" / "krt_fit.json").read_text())
         assert fit["slope"] <= -0.7
+
+    @pytest.mark.parametrize(
+        "dist, h, horizon",
+        [
+            ({"kind": "exponential", "rate": 1.0}, 0.0025, 86.0),
+            ({"kind": "gamma", "shape": 2.0, "rate": 1.0}, 0.00125, 172.0),
+        ],
+        ids=["exponential", "gamma"],
+    )
+    def test_krt_shares_criterion_8_check(self, runner, tmp_path, criterion_8, dist, h, horizon):
+        # on a criterion-8 cell's grid and z exponent the CLI reads that cell's two slopes, bit for bit
+        payload = {"distribution": dist, "grid": {"h": h, "horizon": horizon}, "seed": 5, "z_exponent": 4.0}
+        cfg = write_config(tmp_path, "c.json", payload)
+        res = runner.invoke(main, ["krt", "--config", cfg, "--out", str(tmp_path / "o"), "--strict"])
+        assert res.exit_code == 0, res.output
+        (check,) = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+        expected = criterion_8[check["name"]]
+        assert check["measured"] == expected.measured
+        assert check["tolerance"] == expected.tolerance
+
+    def test_krt_fails_on_the_bias_floor(self, runner, tmp_path):
+        # on exponential's default grid the z^-4 error reaches the O(h^2) floor inside the window:
+        # fewer than 5 points clear it at h, so there is no slope at h and the check fails
+        payload = {"distribution": {"kind": "exponential", "rate": 1.0}, "seed": 5, "z_exponent": 4.0}
+        cfg = write_config(tmp_path, "c.json", payload)
+        res = runner.invoke(main, ["krt", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        (check,) = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+        assert check["passed"] is False
+        assert np.isnan(check["measured"]["slope_h"])
+        assert check["tolerance"].startswith("both slopes <= -1.7")
+        assert not (tmp_path / "o" / "krt_fit.json").exists()
 
     def test_krt_window_must_fit_horizon(self, runner, tmp_path):
         payload = {**BASE, "z_exponent": 2.0}  # horizon 30 < default window end
@@ -543,13 +600,12 @@ class TestSubcommands:
         assert res.exit_code == 2
 
     def test_strict_fails_on_failed_check(self, runner, tmp_path):
-        # an impossible tolerance setup: krt floor above every point
+        # the z^-4 limit error meets the bias floor at h = 0.005 before enough points clear it
         payload = {
             "distribution": {"kind": "exponential", "rate": 1.0},
             "grid": {"h": 0.005, "horizon": 86.0},
             "seed": 5,
-            "z_exponent": 2.0,
-            "floor": 1e9,
+            "z_exponent": 4.0,
         }
         cfg = write_config(tmp_path, "c.json", payload)
         res = runner.invoke(main, ["krt", "--config", cfg, "--out", str(tmp_path / "o"), "--strict"])
